@@ -361,13 +361,15 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 			cn, cb, cfg.CacheBudgetBytes, st.IO.CacheHits, st.IO.CacheMisses, st.IO.CacheBytes)
 	}
 	if cfg.FetchFeatures {
-		fmt.Fprintf(out, "  features  %d ring reads, %d B from the device\n", st.IO.FeatReads, st.IO.FeatBytesRead)
+		fmt.Fprintf(out, "  features  %d ring reads, %d B picked\n", st.IO.FeatReads, st.IO.FeatBytesRead)
 		if cfg.FeatureCacheBudgetBytes > 0 {
 			fn, fb := s.FeatureCacheInfo()
 			fmt.Fprintf(out, "  featcache pinned %d nodes / %d B under a %d B budget; %d hits / %d misses, %d B served\n",
 				fn, fb, cfg.FeatureCacheBudgetBytes, st.IO.FeatCacheHits, st.IO.FeatCacheMisses, st.IO.FeatCacheBytes)
 		}
 	}
+	fmt.Fprintf(out, "  device    %d B picked, %d B gap, %d B align slack\n",
+		st.IO.BytesRead+st.IO.FeatBytesRead, st.IO.GapBytes, st.IO.AlignSlackBytes)
 	fmt.Fprintf(out, "  io        %+v\n", st.IO)
 	for wid, ws := range st.PerWorker {
 		fmt.Fprintf(out, "  worker %2d %+v\n", wid, ws)

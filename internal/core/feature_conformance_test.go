@@ -24,8 +24,14 @@ const featConfDim = 6
 // a feature file and returns its directory.
 func testFeatureDatasetDir(t *testing.T) string {
 	t.Helper()
+	return sizedFeatureDatasetDir(t, 2_000, 30_000)
+}
+
+// sizedFeatureDatasetDir is testFeatureDatasetDir at a chosen size.
+func sizedFeatureDatasetDir(t *testing.T, nodes, edges int64) string {
+	t.Helper()
 	dir := t.TempDir()
-	if _, err := gen.GenerateWith(dir, "tiny", "rmat", 2_000, 30_000, 11, gen.Options{FeatureDim: featConfDim}); err != nil {
+	if _, err := gen.GenerateWith(dir, "tiny", "rmat", nodes, edges, 11, gen.Options{FeatureDim: featConfDim}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -192,7 +198,10 @@ func featOnlyFaultWrap(plan uring.FaultPlan) func(uring.Ring, int) (uring.Ring, 
 // — the payload stays identical to the clean run and the shared retry
 // counters prove the path was exercised.
 func TestFeatureFaultRecovery(t *testing.T) {
-	dir := testFeatureDatasetDir(t)
+	// Page-coalesced reads fetch the standard fixture's 12-page feature
+	// file in about a dozen requests, too few to be sure of a short
+	// read; this fixture's feature file spans ten times the pages.
+	dir := sizedFeatureDatasetDir(t, 20_000, 300_000)
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	cfg.RingSize = 32
@@ -311,11 +320,11 @@ func newFeatWorker(t *testing.T, dir string, cfg Config, be uring.Backend) *Work
 }
 
 // TestFeatureCacheAdversarialOrder is the feature-path mirror of the
-// edge path's adversarial-order regression (PR 4): a run of
-// file-adjacent nodes straddling a cache hit must NOT coalesce across
-// the hit, because the hit advances the output position without
-// appending a run — file adjacency alone would land the second read at
-// the wrong buffer offset and overwrite the cached vector's slot.
+// edge path's adversarial-order regression: two file-adjacent nodes
+// straddling a cache hit may share one read, but each record must land
+// at its own output position — the hit advances the output position
+// without planning a read, so treating file adjacency as buffer
+// adjacency would land the second record over the cached vector's slot.
 func TestFeatureCacheAdversarialOrder(t *testing.T) {
 	dir := testFeatureDatasetDir(t)
 	ds := openDS(t, dir, false)

@@ -77,8 +77,9 @@ func (e *IOError) Unwrap() error {
 type IOStats struct {
 	// Reads is the number of planned read requests completed in full.
 	Reads int64
-	// BytesRead is the total bytes successfully read (short-read
-	// prefixes included).
+	// BytesRead is the picked edge-entry bytes successfully read
+	// (short-read prefixes of direct reads included); the bytes a gather
+	// read fetches between its picks count in GapBytes instead.
 	BytesRead int64
 	// Retries is the number of resubmissions (transient errnos plus
 	// short-read remainders).
@@ -102,10 +103,11 @@ type IOStats struct {
 	CacheBytes  int64
 	// FeatReads / FeatBytesRead count the feature-file side of the ring
 	// traffic: requests completed in full against features.bin and the
-	// bytes they delivered. The edge-file counters above never include
+	// picked record bytes they delivered. The edge-file counters above never include
 	// feature traffic, so the two workloads stay separately attributable;
 	// the retry-machinery counters (Retries, ShortReads, TransientErrs,
-	// FixedReads, AlignSlackBytes) are shared across both files.
+	// FixedReads, GapBytes, AlignSlackBytes, SlotWaits) are shared across
+	// both files.
 	FeatReads     int64
 	FeatBytesRead int64
 	// FeatCacheHits / FeatCacheMisses / FeatCacheBytes mirror the
@@ -118,11 +120,20 @@ type IOStats struct {
 	// FixedReads is how many requests completed through a registered
 	// fixed buffer (IORING_OP_READ_FIXED, or its pool/sim emulation).
 	FixedReads int64
+	// GapBytes is the bytes gather reads fetched between their picks: a
+	// read that coalesces picks sharing a page reads the whole span, and
+	// the span bytes no pick wanted land here, never in BytesRead or
+	// FeatBytesRead (both files count into it).
+	GapBytes int64
 	// AlignSlackBytes is the device bytes the O_DIRECT path read beyond
-	// the requested entry ranges: alignment rounding plus re-read overlap
-	// after aligned resubmission. Device traffic for a worker is
-	// BytesRead + AlignSlackBytes.
+	// the requested spans: alignment rounding plus re-read overlap after
+	// aligned resubmission. Device traffic for a worker is BytesRead +
+	// FeatBytesRead + GapBytes + AlignSlackBytes.
 	AlignSlackBytes int64
+	// SlotWaits counts staging passes cut short because every scratch
+	// slot was leased (see core.scratchSlots): the reads that need one
+	// waited for completions instead of entering the ring.
+	SlotWaits int64
 	// SubmitSyscalls / WaitSyscalls are the worker ring's kernel
 	// crossings (see uring.Syscalls): submission-side enters (or preads
 	// for pool/sim) and blocking completion-side enters. Divide by batch
@@ -156,7 +167,9 @@ func (s *IOStats) Add(o IOStats) {
 	s.FeatCacheMisses += o.FeatCacheMisses
 	s.FeatCacheBytes += o.FeatCacheBytes
 	s.FixedReads += o.FixedReads
+	s.GapBytes += o.GapBytes
 	s.AlignSlackBytes += o.AlignSlackBytes
+	s.SlotWaits += o.SlotWaits
 	s.SubmitSyscalls += o.SubmitSyscalls
 	s.WaitSyscalls += o.WaitSyscalls
 	s.ActiveFixed = s.ActiveFixed || o.ActiveFixed

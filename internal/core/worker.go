@@ -155,7 +155,7 @@ func (s *Sampler) FeatureCacheInfo() (nodes int, bytes int64) {
 // feature fetch). Each gets its own rio driver; the stages never
 // overlap in time — the feature stage runs only after every sampling
 // layer's reads have completed — so the two drivers safely share the
-// worker's arena, layer buffer, and run workspace.
+// worker's arena, layer buffer, and scratch pool.
 type Worker struct {
 	s     *Sampler
 	id    int
@@ -173,15 +173,20 @@ type Worker struct {
 	broken bool
 
 	// Fast-path state, fixed at construction.
-	depth int    // max in-flight requests per rio (from Config.Depth; 0 = ring-bounded)
-	arena []byte // registered fixed-buffer arena (nil when fixed is off)
+	depth      int    // max in-flight requests per rio (from Config.Depth; 0 = ring-bounded)
+	arena      []byte // registered fixed-buffer arena (nil when fixed is off)
+	stageArena []byte // the arena prefix stage buffers may use (the rest backs scratch slots)
+
+	// Scratch pool for gather reads and O_DIRECT windows, shared by both
+	// rios: scratchSlots slots, each leased by one request.
+	slots     []scratchSlot
+	freeSlots []int
 
 	// bufFixed records that the current layer buffer is the arena
 	// prefix, so (buffered-path) reads into it may use PrepReadFixed.
 	bufFixed bool
 
 	// Workspaces, reused across batches (paper §3.1).
-	runs        []ioRun      // coalesced read requests (edge entries or feature records)
 	frontier    []uint32     // target workspace (strategies rebuild it between layers)
 	featNodes   []uint32     // feature stage: batch node-union accumulation
 	buf         []byte       // current stage buffer (arena prefix or heapBuf)
@@ -192,19 +197,18 @@ type Worker struct {
 	cachedPicks []cachedPick // cache-served byte ranges awaiting copy
 }
 
-// rio is one ring-I/O driver: a ring over one file plus the in-flight
-// request state needed to push coalesced entry runs through it with
-// retry-with-resubmit, O_DIRECT windowing, and quarantine bookkeeping.
-// The worker has one for the edge file and one for the feature file;
-// they differ only in the file, its alignment, the entry stride runs
-// are denominated in, and which IOStats counters completed reads land
-// in (shared retry-machinery counters stay on the worker).
+// rio is one ring-I/O driver: a ring over one file, the planner that
+// coalesces the stage's picks into reads of that file, and the
+// in-flight request state needed to push those reads through the ring
+// with retry-with-resubmit, scratch windows, and quarantine
+// bookkeeping. The worker has one for the edge file and one for the
+// feature file; they differ only in the file, its alignment, the entry
+// stride, and which IOStats counters completed reads land in (shared
+// retry-machinery counters stay on the worker).
 type rio struct {
-	w          *Worker
-	ring       uring.Ring
-	align      int   // O_DIRECT transfer granularity (0 = buffered handle)
-	entryBytes int64 // bytes per run entry (edge entry or feature record)
-	entryBase  int64 // global entry index of the file's first local entry (shard datasets; 0 otherwise)
+	w    *Worker
+	ring uring.Ring
+	plan planner
 
 	// reads/bytesRead point at the IOStats counters this driver's
 	// completed reads accumulate into (Reads/BytesRead for the edge
@@ -226,28 +230,23 @@ type rio struct {
 
 	reqs   []ioReq // in-flight request state (retry bookkeeping)
 	retryQ []int   // request IDs awaiting resubmission
-
-	// O_DIRECT scratch slots: one aligned window buffer per in-flight
-	// request, recycled through free lists so memory is bounded by the
-	// pipeline depth, not the run count. Arena-backed chunks serve
-	// READ_FIXED; heap slots (allocated lazily, grown to the largest
-	// window they have carried) serve the rest.
-	dslots    []dslot
-	freeFixed []int
-	freeHeap  []int
 }
 
-// dslot is one O_DIRECT scratch slot.
-type dslot struct {
-	buf   []byte
-	fixed bool // arena-backed: reads through it may use PrepReadFixed
-}
+// scratchSlots is the worker's scratch pool size: at most this many
+// gather reads and O_DIRECT windows are in flight at once, so scratch
+// memory is scratchSlots pages whatever the stage size. Staging waits
+// for completions when every slot is leased.
+const scratchSlots = 64
 
-// directChunkBytes is the size of each arena-backed O_DIRECT scratch
-// chunk: covers a 4096-aligned window over any offset-mode run with
-// room to spare; bigger windows (full-fetch lists) fall back to heap
-// slots and plain reads.
-const directChunkBytes = 16 << 10
+// scratchSlot is one page-sized, 4096-aligned scratch buffer. big
+// carries the rare O_DIRECT window wider than a page (a long direct
+// run, or a record straddling a page boundary); it is heap memory,
+// grown to the largest such window and reused.
+type scratchSlot struct {
+	page  []byte
+	fixed bool // page lies in the registered arena: reads may use PrepReadFixed
+	big   []byte
+}
 
 // cachedPick is one cache-served byte range: src is cached file bytes,
 // bufPos the stage-buffer position they land at. Copies are deferred
@@ -262,35 +261,25 @@ type cachedPick struct {
 // the span with the owning shard's bytes).
 var zeroEntry = make([]byte, storage.EntryBytes)
 
-// ioRun is one coalesced read: `entries` consecutive file entries
-// (edge entries or feature records, per the issuing rio's stride)
-// starting at entry index `entryStart`, landing at byte `bufPos` of
-// the stage buffer.
-type ioRun struct {
-	entryStart int64
-	entries    int32
-	bufPos     int64
-}
-
 // ioReq is the live state of run i while it is in flight: the byte
 // range still outstanding (which shrinks as short-read prefixes land)
-// and how many retries it has consumed. On the O_DIRECT path the
-// outstanding range is the aligned window (scratch != nil) and the
-// int* fields remember the interior the run actually wants; offsets
-// stay aligned across resubmission by rounding progress down.
+// and how many retries it has consumed. A direct run on a buffered file
+// reads straight into the stage buffer; every other run reads its
+// window — the span, or under O_DIRECT the aligned window around it —
+// into a scratch slot (scratch != nil), and its segments are copied out
+// at completion. O_DIRECT offsets stay aligned across resubmission by
+// rounding progress down.
 type ioReq struct {
 	off      int64 // next file byte offset to read
-	bufPos   int64 // write position in the stage buffer (interior pos)
+	bufPos   int64 // direct reads: write position in the stage buffer
 	remain   int64 // bytes still outstanding
 	attempts int
 	fixed    bool // destination is registered: prep via PrepReadFixed
 
-	// O_DIRECT window state (scratch == nil on the buffered path).
-	scratch  []byte // aligned window destination (slot-backed)
+	// Scratch window state (scratch == nil for direct buffered reads).
+	scratch  []byte // window destination (slot-backed)
 	slot     int    // scratch slot index (-1 when none held)
-	wStart   int64  // aligned window start offset
-	intOff   int64  // interior: first byte the run wants
-	intLen   int64  // interior length
+	wStart   int64  // window start offset
 	devBytes int64  // device bytes delivered for this request so far
 }
 
@@ -313,24 +302,44 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 		// granularity the dataset probe settled on.
 		w.arena = storage.AlignedSlice(int(arenaBytes), 4096)
 	}
+	w.initSlots()
 	ring, err := w.openRing(s.ds.File())
 	if err != nil {
 		return nil, err
 	}
 	w.edge = rio{
 		w: w, ring: ring,
-		align:      s.ds.DirectAlign(),
-		entryBytes: storage.EntryBytes,
-		entryBase:  s.ds.EntryBase(),
-		reads:      &w.stats.Reads,
-		bytesRead:  &w.stats.BytesRead,
+		plan:      newPlanner(storage.EntryBytes, s.ds.EntryBase(), s.ds.DirectAlign()),
+		reads:     &w.stats.Reads,
+		bytesRead: &w.stats.BytesRead,
 	}
-	w.edge.initSlots()
 	w.stats.ActiveFixed = s.active.fixed
 	w.stats.ActiveRegFiles = s.active.regFiles
 	w.stats.ActiveSQPoll = s.active.sqpoll
-	w.stats.ActiveODirect = w.edge.align > 0
+	w.stats.ActiveODirect = w.edge.plan.align > 0
 	return w, nil
+}
+
+// initSlots builds the scratch pool. When the registered arena can
+// spare it, the pool is the arena's tail, so gather reads and O_DIRECT
+// windows may use PrepReadFixed, and stage buffers keep the prefix;
+// otherwise it is one heap allocation.
+func (w *Worker) initSlots() {
+	pool := scratchSlots * pageBytes
+	w.stageArena = w.arena
+	var backing []byte
+	fixed := int64(len(w.arena)) >= 2*pool
+	if fixed {
+		tail := storage.AlignDown(int64(len(w.arena))-pool, 4096)
+		w.stageArena, backing = w.arena[:tail], w.arena[tail:]
+	} else {
+		backing = storage.AlignedSlice(int(pool), 4096)
+	}
+	w.slots = make([]scratchSlot, scratchSlots)
+	for i := range w.slots {
+		lo := int64(i) * pageBytes
+		w.slots[i] = scratchSlot{page: backing[lo : lo+pageBytes], fixed: fixed}
+	}
 }
 
 // openRing builds one worker ring over f with the sampler's resolved
@@ -364,19 +373,6 @@ func (w *Worker) openRing(f *os.File) (uring.Ring, error) {
 	return ring, nil
 }
 
-// initSlots pre-partitions the worker arena into O_DIRECT scratch
-// chunks for this driver; the arena then serves windows instead of
-// stage buffers. No-op for buffered handles.
-func (r *rio) initSlots() {
-	w := r.w
-	if r.align == 0 || w.arena == nil {
-		return
-	}
-	for off := 0; off+directChunkBytes <= len(w.arena); off += directChunkBytes {
-		r.dslots = append(r.dslots, dslot{buf: w.arena[off : off+directChunkBytes], fixed: true})
-	}
-}
-
 // ensureFeat lazily opens the worker's feature ring. Lazy so workers on
 // featureful datasets cost nothing extra until a batch actually wants
 // features.
@@ -395,14 +391,11 @@ func (w *Worker) ensureFeat() error {
 	featBase, _ := ds.ShardRange()
 	w.feat = rio{
 		w: w, ring: ring,
-		align:      ds.FeatureAlign(),
-		entryBytes: ds.FeatureStride(),
-		entryBase:  featBase,
-		reads:      &w.stats.FeatReads,
-		bytesRead:  &w.stats.FeatBytesRead,
+		plan:      newPlanner(ds.FeatureStride(), featBase, ds.FeatureAlign()),
+		reads:     &w.stats.FeatReads,
+		bytesRead: &w.stats.FeatBytesRead,
 	}
-	w.feat.initSlots()
-	if w.feat.align > 0 {
+	if w.feat.plan.align > 0 {
 		w.stats.ActiveODirect = true
 	}
 	return nil
@@ -552,18 +545,19 @@ func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, str
 }
 
 // sampleLayerOffset is the paper's path: draw fanout entry indices
-// from each node's offset range, coalesce adjacent picks into runs,
-// and read exactly those entries. Cached nodes are served from the
-// hot-neighbor cache instead of planning runs — the strategy's draws
-// happen first either way, so RNG consumption (and therefore the
+// from each node's offset range, plan the picks into page-coalesced
+// reads, and land exactly those entries. Cached nodes are served from
+// the hot-neighbor cache instead of planning reads — the strategy's
+// draws happen first either way, so RNG consumption (and therefore the
 // sampled set) is identical with the cache on or off.
 func (w *Worker) sampleLayerOffset(layer *Layer, fanout int, strat Strategy) error {
 	ds := w.s.ds
 	hot := w.s.hot
 	sharded := ds.IsSharded()
+	plan := &w.edge.plan
 	layer.Targets = append([]uint32(nil), w.frontier...)
 	layer.Starts = make([]int64, len(w.frontier)+1)
-	w.runs = w.runs[:0]
+	plan.reset()
 	w.cachedPicks = w.cachedPicks[:0]
 	var total int64
 	for i, v := range w.frontier {
@@ -609,29 +603,17 @@ func (w *Worker) sampleLayerOffset(layer *Layer, fanout int, strat Strategy) err
 			w.stats.CacheMisses++
 		}
 		for _, idx := range w.idxs {
-			abs := st + int64(idx)
-			// Coalesce only when the pick is adjacent in the edge file AND
-			// in the layer buffer. A cache hit advances `total` without
-			// appending a run, so file adjacency alone would merge a
-			// post-hit pick into a pre-hit run and land its bytes over the
-			// cached node's slots.
-			if n := len(w.runs); n > 0 &&
-				w.runs[n-1].entryStart+int64(w.runs[n-1].entries) == abs &&
-				w.runs[n-1].bufPos+int64(w.runs[n-1].entries)*storage.EntryBytes == total*storage.EntryBytes {
-				w.runs[n-1].entries++
-			} else {
-				w.runs = append(w.runs, ioRun{entryStart: abs, entries: 1, bufPos: total * storage.EntryBytes})
-			}
+			plan.add(st+int64(idx), total*storage.EntryBytes)
 			total++
 		}
 	}
 	layer.Starts[len(w.frontier)] = total
-	w.sizeBuf(total*storage.EntryBytes, w.edge.align)
+	w.sizeBuf(total*storage.EntryBytes, plan.align)
 	w.copyCached()
-	if err := w.edge.issue(w.runs, w.buf); err != nil {
+	if err := w.edge.issue(w.buf); err != nil {
 		return err
 	}
-	// Runs were planned in frontier order with sequential buffer
+	// Picks were planned in frontier order with sequential buffer
 	// positions, so the buffer is exactly the concatenated sampled
 	// neighbors.
 	layer.Neighbors = decodeU32(w.buf[:total*storage.EntryBytes])
@@ -646,9 +628,10 @@ func (w *Worker) sampleLayerOffset(layer *Layer, fanout int, strat Strategy) err
 func (w *Worker) sampleLayerFull(layer *Layer, fanout int, strat Strategy) error {
 	ds := w.s.ds
 	hot := w.s.hot
+	plan := &w.edge.plan
 	layer.Targets = append([]uint32(nil), w.frontier...)
 	layer.Starts = make([]int64, len(w.frontier)+1)
-	w.runs = w.runs[:0]
+	plan.reset()
 	w.sel = w.sel[:0]
 	w.nodePos = w.nodePos[:0]
 	w.cachedPicks = w.cachedPicks[:0]
@@ -681,14 +664,14 @@ func (w *Worker) sampleLayerFull(layer *Layer, fanout int, strat Strategy) error
 			if hot != nil {
 				w.stats.CacheMisses++
 			}
-			w.runs = append(w.runs, ioRun{entryStart: st, entries: int32(deg), bufPos: listBytes})
+			plan.addList(st, int64(deg), listBytes)
 		}
 		listBytes += int64(deg) * storage.EntryBytes
 	}
 	layer.Starts[len(w.frontier)] = total
-	w.sizeBuf(listBytes, w.edge.align)
+	w.sizeBuf(listBytes, plan.align)
 	w.copyCached()
-	if err := w.edge.issue(w.runs, w.buf); err != nil {
+	if err := w.edge.issue(w.buf); err != nil {
 		return err
 	}
 	layer.Neighbors = make([]uint32, 0, total)
@@ -741,11 +724,9 @@ func (w *Worker) FetchFeatures(nodes []uint32) ([]byte, error) {
 }
 
 // featuresFor plans and issues the feature reads for nodes: cached
-// vectors are served from the feature cache, the rest are coalesced
-// into runs of file-adjacent records — subject to the same
-// file-AND-buffer adjacency rule as the edge path, because a cache hit
-// advances the buffer position without appending a run — and issued
-// through the feature rio with full retry/quarantine handling.
+// vectors are served from the feature cache, the rest go through the
+// same page-coalescing planner as the edge path and are issued through
+// the feature rio with full retry/quarantine handling.
 func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 	ds := w.s.ds
 	if !ds.HasFeatures() {
@@ -754,14 +735,15 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 	if err := w.ensureFeat(); err != nil {
 		return nil, err
 	}
-	stride := w.feat.entryBytes
+	plan := &w.feat.plan
+	stride := plan.stride
 	// On a shard dataset only the owned range's vectors are present;
 	// the router scatters feature fetches by ownership, so a non-owned
 	// node here is a caller bug, rejected before any I/O. Unsharded,
 	// the range is [0, NumNodes) and this is the plain bounds check.
 	ownLo, ownHi := ds.ShardRange()
 	hot := w.s.featHot
-	w.runs = w.runs[:0]
+	plan.reset()
 	w.cachedPicks = w.cachedPicks[:0]
 	var total int64
 	for _, v := range nodes {
@@ -778,18 +760,12 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 		if hot != nil {
 			w.stats.FeatCacheMisses++
 		}
-		if n := len(w.runs); n > 0 &&
-			w.runs[n-1].entryStart+int64(w.runs[n-1].entries) == int64(v) &&
-			w.runs[n-1].bufPos+int64(w.runs[n-1].entries)*stride == total*stride {
-			w.runs[n-1].entries++
-		} else {
-			w.runs = append(w.runs, ioRun{entryStart: int64(v), entries: 1, bufPos: total * stride})
-		}
+		plan.add(int64(v), total*stride)
 		total++
 	}
-	w.sizeBuf(total*stride, w.feat.align)
+	w.sizeBuf(total*stride, plan.align)
 	w.copyCached()
-	if err := w.feat.issue(w.runs, w.buf); err != nil {
+	if err := w.feat.issue(w.buf); err != nil {
 		return nil, err
 	}
 	out := make([]byte, total*stride)
@@ -818,8 +794,8 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 // batch's request table: silent buffer and accounting corruption. If
 // the drain itself fails the worker is marked broken and refuses
 // further batches.
-func (r *rio) issue(runs []ioRun, buf []byte) error {
-	err := r.issueReads(runs, buf)
+func (r *rio) issue(buf []byte) error {
+	err := r.issueReads(buf)
 	if err != nil {
 		r.w.quarantine()
 	}
@@ -854,22 +830,23 @@ func (r *rio) drain() {
 	}
 }
 
-// issueReads is issue's submission/completion loop. On error return,
-// r.inflight counts exactly the requests still in flight in the ring
-// (already-harvested completions are accounted before processing), and
-// r.ringFailed records whether the ring itself failed — the state
-// quarantine needs to clean up safely.
+// issueReads is issue's submission/completion loop over r.plan.runs. On
+// error return, r.inflight counts exactly the requests still in flight
+// in the ring (already-harvested completions are accounted before
+// processing), and r.ringFailed records whether the ring itself failed
+// — the state quarantine needs to clean up safely.
 //
 // Submission is deep by default: each pass stages every request the
-// ring (and Config.Depth, when set) will take — fresh runs and retries
-// alike — and publishes them with ONE Submit, so a full pipeline costs
-// one io_uring_enter for many coalesced runs. On the completion side,
-// while more work is waiting to be staged the pass reaps up to half the
-// in-flight window in one blocking Wait (reap-many) instead of waking
-// per completion; once everything is staged it degrades to min=1 so the
-// tail drains with maximum overlap.
-func (r *rio) issueReads(runs []ioRun, buf []byte) error {
+// ring (and Config.Depth, when set, and the scratch pool) will take —
+// fresh runs and retries alike — and publishes them with ONE Submit, so
+// a full pipeline costs one io_uring_enter for many reads. On the
+// completion side, while more work is waiting to be staged the pass
+// reaps up to half the in-flight window in one blocking Wait
+// (reap-many) instead of waking per completion; once everything is
+// staged it degrades to min=1 so the tail drains with maximum overlap.
+func (r *rio) issueReads(buf []byte) error {
 	w := r.w
+	runs := r.plan.runs
 	async := w.s.cfg.AsyncPipeline
 	maxRetries := w.s.cfg.MaxIORetries
 	if cap(r.reqs) < len(runs) {
@@ -877,7 +854,7 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 	}
 	r.reqs = r.reqs[:len(runs)]
 	r.retryQ = r.retryQ[:0]
-	r.resetSlots()
+	w.resetSlots()
 	next, completed := 0, 0
 	for completed < len(runs) {
 		staged := 0
@@ -891,7 +868,7 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 		}
 		if len(r.retryQ) == 0 {
 			for next < len(runs) && r.withinDepth(staged) {
-				if !r.stageNew(next, runs, buf) {
+				if !r.stageNew(next, buf) {
 					break
 				}
 				next++
@@ -943,7 +920,7 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 				return fmt.Errorf("core: overlong read at offset %d: got %d bytes, want %d",
 					rq.off, c.Res, rq.remain)
 			case rq.scratch != nil:
-				done, err := r.completeDirect(int(c.ID), rq, int64(c.Res), buf, maxRetries)
+				done, err := r.completeScratch(int(c.ID), rq, int64(c.Res), buf, maxRetries)
 				if err != nil {
 					return err
 				}
@@ -976,7 +953,9 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 		// Stall guard: with nothing staged, nothing in flight and no
 		// completions drained, the next iteration would replay this one
 		// verbatim — a ring violating the never-refuse-while-idle
-		// contract must surface as an error, not an infinite spin.
+		// contract must surface as an error, not an infinite spin. (An
+		// empty scratch pool cannot cause this: with nothing in flight
+		// and no retry pending, every slot is free.)
 		if staged == 0 && r.inflight == 0 && len(cqes) == 0 {
 			r.ringFailed = true
 			return fmt.Errorf("core: %d of %d reads complete, %d awaiting retry: %w",
@@ -992,34 +971,33 @@ func (r *rio) withinDepth(staged int) bool {
 	return r.w.depth <= 0 || r.inflight+staged < r.w.depth
 }
 
-// stageNew initializes request id from its run and stages it. On the
-// O_DIRECT path the request reads the aligned window around the run
-// into a scratch slot; the interior is copied out at completion. The
-// slot is released again if the ring refuses the prep, so re-staging
-// the same id later starts clean.
-func (r *rio) stageNew(id int, runs []ioRun, buf []byte) bool {
-	run := &runs[id]
-	// Runs are planned in GLOBAL entry coordinates; on a shard dataset
-	// the local file starts at entryBase, so the file offset subtracts it
-	// (zero when unsharded). The planner only emits runs for owned nodes.
-	intOff := (run.entryStart - r.entryBase) * r.entryBytes
-	intLen := int64(run.entries) * r.entryBytes
+// stageNew initializes request id from its run and stages it. A direct
+// run on a buffered file reads straight into the stage buffer; any
+// other run leases a scratch slot for its window, and returns false
+// (staging waits for completions) when every slot is leased. The slot
+// is released again if the ring refuses the prep, so re-staging the
+// same id later starts clean.
+func (r *rio) stageNew(id int, buf []byte) bool {
+	run := &r.plan.runs[id]
 	rq := &r.reqs[id]
-	if r.align == 0 {
-		*rq = ioReq{off: intOff, bufPos: run.bufPos, remain: intLen, fixed: r.w.bufFixed, slot: -1}
+	align := r.plan.align
+	if align == 0 && run.direct() {
+		*rq = ioReq{off: run.off, bufPos: r.plan.segs[run.seg].bufPos, remain: run.span, fixed: r.w.bufFixed, slot: -1}
 	} else {
-		lo := storage.AlignDown(intOff, r.align)
-		win := storage.AlignUp(intOff+intLen, r.align) - lo
-		slot, scratch, fixed := r.getSlot(int(win))
-		*rq = ioReq{
-			off: lo, wStart: lo, remain: win,
-			bufPos: run.bufPos, intOff: intOff, intLen: intLen,
-			scratch: scratch, slot: slot, fixed: fixed,
+		lo, hi := run.off, run.off+run.span
+		if align > 0 {
+			lo, hi = storage.AlignDown(lo, align), storage.AlignUp(hi, align)
 		}
+		slot, scratch, fixed, ok := r.w.getSlot(int(hi - lo))
+		if !ok {
+			r.w.stats.SlotWaits++
+			return false
+		}
+		*rq = ioReq{off: lo, wStart: lo, remain: hi - lo, scratch: scratch, slot: slot, fixed: fixed}
 	}
 	if !r.prepReq(id, buf) {
 		if rq.slot >= 0 {
-			r.putSlot(rq.slot)
+			r.w.putSlot(rq.slot)
 			rq.slot = -1
 		}
 		return false
@@ -1028,8 +1006,8 @@ func (r *rio) stageNew(id int, runs []ioRun, buf []byte) bool {
 }
 
 // prepReq stages request id's outstanding byte range into the ring,
-// routing the destination (stage buffer or aligned scratch window) and
-// the prep flavor (fixed or plain) from the request state.
+// routing the destination (stage buffer or scratch window) and the prep
+// flavor (fixed or plain) from the request state.
 func (r *rio) prepReq(id int, buf []byte) bool {
 	rq := &r.reqs[id]
 	var dst []byte
@@ -1045,54 +1023,67 @@ func (r *rio) prepReq(id int, buf []byte) bool {
 	return r.ring.PrepRead(uint64(id), rq.off, dst)
 }
 
-// completeDirect handles a non-negative completion of an O_DIRECT
-// window request. The request is done as soon as the delivered bytes
-// cover the interior — which an EOF-straddling tail window reaches with
-// a short count, since the window's aligned end may lie past the file
-// end while the interior never does. A short count that leaves interior
-// bytes uncovered resubmits from the progress rounded DOWN to the
-// alignment (re-reading the partial block) so the resumed offset stays
-// O_DIRECT-legal.
-func (r *rio) completeDirect(id int, rq *ioReq, got int64, buf []byte, maxRetries int) (bool, error) {
+// completeScratch handles a non-negative completion of a scratch-window
+// request (a gather read, or any O_DIRECT read). The request is done as
+// soon as the delivered bytes cover the run's span — which an
+// EOF-straddling O_DIRECT window reaches with a short count, since its
+// aligned end may lie past the file end while the span never does —
+// and then each segment is copied from the window to its stage-buffer
+// position. A short count that leaves span bytes uncovered resubmits the
+// rest of the window into the same slot, from the progress rounded DOWN
+// to the alignment under O_DIRECT (re-reading the partial block) so the
+// resumed offset stays legal.
+func (r *rio) completeScratch(id int, rq *ioReq, got int64, buf []byte, maxRetries int) (bool, error) {
 	w := r.w
+	run := &r.plan.runs[id]
 	rq.devBytes += got
 	covered := rq.off + got // absolute file position delivered through
-	if covered >= rq.intOff+rq.intLen {
-		copy(buf[rq.bufPos:rq.bufPos+rq.intLen], rq.scratch[rq.intOff-rq.wStart:])
+	if end := run.off + run.span; covered >= end {
+		base := run.off - rq.wStart
+		var picked int64
+		for _, s := range r.plan.segsOf(run) {
+			copy(buf[s.bufPos:s.bufPos+s.n], rq.scratch[base+s.spanOff:])
+			picked += s.n
+		}
 		*r.reads++
-		*r.bytesRead += rq.intLen
-		w.stats.AlignSlackBytes += rq.devBytes - rq.intLen
+		*r.bytesRead += picked
+		w.stats.GapBytes += run.gap
+		if r.plan.align > 0 {
+			w.stats.AlignSlackBytes += rq.devBytes - run.span
+		}
 		if rq.fixed {
 			w.stats.FixedReads++
 		}
-		r.putSlot(rq.slot)
+		w.putSlot(rq.slot)
 		rq.slot = -1
 		rq.scratch = nil
 		return true, nil
 	}
-	// Short of the interior: resubmit the rest of the window from an
-	// aligned resume point.
+	// Short of the span: resubmit the rest of the window.
 	w.stats.ShortReads++
 	if rq.attempts >= maxRetries {
-		return false, &IOError{Offset: covered, Bytes: rq.intOff + rq.intLen - covered, Attempts: rq.attempts, ShortRead: true}
+		return false, &IOError{Offset: covered, Bytes: run.off + run.span - covered, Attempts: rq.attempts, ShortRead: true}
 	}
 	rq.attempts++
 	w.stats.Retries++
 	wEnd := rq.wStart + int64(len(rq.scratch))
-	rq.off = storage.AlignDown(covered, r.align)
+	rq.off = covered
+	if r.plan.align > 0 {
+		rq.off = storage.AlignDown(covered, r.plan.align)
+	}
 	rq.remain = wEnd - rq.off
 	r.retryQ = append(r.retryQ, id)
 	return false, nil
 }
 
 // sizeBuf points w.buf at a stage buffer of n bytes: the registered
-// arena when the fixed knob is on, the buffer fits, and the issuing
-// file handle is buffered (O_DIRECT stages read through scratch windows
-// instead, and the arena serves those); otherwise a heap workspace,
-// with plain reads.
+// arena's stage region when the fixed knob is on, the buffer fits, and
+// the issuing file handle is buffered (O_DIRECT stages land through
+// scratch windows, never straight in the stage buffer); otherwise a
+// heap workspace, with plain reads.
 func (w *Worker) sizeBuf(n int64, align int) {
-	if w.arena != nil && align == 0 && n <= int64(len(w.arena)) {
-		w.buf = w.arena[:n]
+	if w.stageArena != nil && align == 0 && n <= int64(len(w.stageArena)) {
+		w.buf = w.stageArena[:n]
 		w.bufFixed = true
 		return
 	}
@@ -1101,55 +1092,40 @@ func (w *Worker) sizeBuf(n int64, align int) {
 	w.bufFixed = false
 }
 
-// resetSlots returns every O_DIRECT scratch slot to its free list.
-// Called at the top of each issue pass: any slot still marked held at
-// that point belonged to a failed batch whose in-flight requests were
-// quarantined, so reclaiming wholesale is safe.
-func (r *rio) resetSlots() {
-	if r.align == 0 {
-		return
-	}
-	r.freeFixed = r.freeFixed[:0]
-	r.freeHeap = r.freeHeap[:0]
-	for i := range r.dslots {
-		if r.dslots[i].fixed {
-			r.freeFixed = append(r.freeFixed, i)
-		} else {
-			r.freeHeap = append(r.freeHeap, i)
-		}
+// resetSlots returns every scratch slot to the free list. Called at the
+// top of each issue pass: any slot still leased at that point belonged
+// to a failed batch whose in-flight requests were quarantined, so
+// reclaiming wholesale is safe.
+func (w *Worker) resetSlots() {
+	w.freeSlots = w.freeSlots[:0]
+	for i := range w.slots {
+		w.freeSlots = append(w.freeSlots, i)
 	}
 }
 
-// getSlot leases a scratch slot able to hold a win-byte aligned window,
-// preferring arena-backed (fixed) chunks. Heap slots grow to the
-// largest window they have carried and are reused; total slot count is
-// bounded by the in-flight cap, never the run count.
-func (r *rio) getSlot(win int) (slot int, scratch []byte, fixed bool) {
-	if win <= directChunkBytes && len(r.freeFixed) > 0 {
-		slot = r.freeFixed[len(r.freeFixed)-1]
-		r.freeFixed = r.freeFixed[:len(r.freeFixed)-1]
-		return slot, r.dslots[slot].buf[:win], true
+// getSlot leases a scratch slot for a win-byte window, preferring its
+// page (arena-backed and fixed when the arena holds the pool) and
+// falling back to the slot's grown heap buffer for wider windows. ok is
+// false when every slot is leased.
+func (w *Worker) getSlot(win int) (slot int, scratch []byte, fixed, ok bool) {
+	if len(w.freeSlots) == 0 {
+		return -1, nil, false, false
 	}
-	if len(r.freeHeap) > 0 {
-		slot = r.freeHeap[len(r.freeHeap)-1]
-		r.freeHeap = r.freeHeap[:len(r.freeHeap)-1]
-		if len(r.dslots[slot].buf) < win {
-			r.dslots[slot].buf = storage.AlignedSlice(win, r.align)
-		}
-		return slot, r.dslots[slot].buf[:win], false
+	slot = w.freeSlots[len(w.freeSlots)-1]
+	w.freeSlots = w.freeSlots[:len(w.freeSlots)-1]
+	s := &w.slots[slot]
+	if win <= len(s.page) {
+		return slot, s.page[:win], s.fixed, true
 	}
-	slot = len(r.dslots)
-	r.dslots = append(r.dslots, dslot{buf: storage.AlignedSlice(win, r.align)})
-	return slot, r.dslots[slot].buf[:win], false
+	if len(s.big) < win {
+		s.big = storage.AlignedSlice(win, 4096)
+	}
+	return slot, s.big[:win], false, true
 }
 
-// putSlot returns a leased slot to its free list.
-func (r *rio) putSlot(slot int) {
-	if r.dslots[slot].fixed {
-		r.freeFixed = append(r.freeFixed, slot)
-	} else {
-		r.freeHeap = append(r.freeHeap, slot)
-	}
+// putSlot returns a leased slot to the free list.
+func (w *Worker) putSlot(slot int) {
+	w.freeSlots = append(w.freeSlots, slot)
 }
 
 // copyCached lands every cache-served byte range in the (now sized)

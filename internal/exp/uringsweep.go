@@ -88,8 +88,9 @@ type UringPoint struct {
 	WaitSyscalls     int64   `json:"wait_syscalls"`
 	SyscallsPerBatch float64 `json:"syscalls_per_batch"`
 
-	// DeviceBytes is BytesRead + AlignSlackBytes: what actually crossed
-	// the storage boundary, including O_DIRECT alignment overhead.
+	// DeviceBytes is BytesRead + GapBytes + AlignSlackBytes: what
+	// actually crossed the storage boundary, including the bytes gather
+	// reads fetch between picks and O_DIRECT alignment overhead.
 	DeviceBytes int64 `json:"device_bytes"`
 	FixedReads  int64 `json:"fixed_reads"`
 
@@ -201,7 +202,7 @@ func UringSweep(dir string, o Options, backend uring.Backend, combos []UringKnob
 			Batches:        best.Batches,
 			SubmitSyscalls: best.IO.SubmitSyscalls,
 			WaitSyscalls:   best.IO.WaitSyscalls,
-			DeviceBytes:    best.IO.BytesRead + best.IO.AlignSlackBytes,
+			DeviceBytes:    best.IO.BytesRead + best.IO.GapBytes + best.IO.AlignSlackBytes,
 			FixedReads:     best.IO.FixedReads,
 			Digest:         digest,
 		}

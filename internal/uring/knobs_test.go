@@ -338,3 +338,52 @@ func TestFaultBadBufIndex(t *testing.T) {
 		t.Fatalf("plain read CQE %+v, want Res 8", c)
 	}
 }
+
+// TestSQPollRefillAfterDrain: under SQPOLL the kernel thread can post a
+// batch's completions before it commits the SQ head, so a consumer that
+// has harvested every completion may still see a full SQ. A ring that
+// is idle (nothing staged or in flight) must never refuse a read: it
+// waits for the head instead. Each round fills the whole SQ with
+// page-sized reads, drains it, and refills it at once — the window in
+// which the head lags; a 1 ms idle timeout adds thread wake-ups.
+func TestSQPollRefillAfterDrain(t *testing.T) {
+	if !Probe().SQPoll {
+		t.Skip("SQPOLL not grantable in this environment")
+	}
+	const pages = 64
+	f := testFile(t, pages*1024)
+	for _, entries := range []int{8, 32} {
+		r, err := NewWith(BackendIOURing, f, Options{Entries: entries, SQPoll: true, SQPollIdleMS: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs := make([][]byte, entries)
+		for i := range bufs {
+			bufs[i] = make([]byte, 4096)
+		}
+		for round := 0; round < 10000; round++ {
+			for i := 0; i < entries; i++ {
+				if !r.PrepRead(uint64(i), int64(4096*((round*7+i*13)%pages)), bufs[i]) {
+					r.Close()
+					t.Fatalf("entries=%d round %d: read %d refused with nothing in flight", entries, round, i)
+				}
+			}
+			if _, err := r.Submit(); err != nil {
+				t.Fatal(err)
+			}
+			for got := 0; got < entries; {
+				cqes, err := r.Wait(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cqes {
+					if c.Res != 4096 {
+						t.Fatalf("entries=%d round %d: CQE %+v, want Res 4096", entries, round, c)
+					}
+				}
+				got += len(cqes)
+			}
+		}
+		r.Close()
+	}
+}

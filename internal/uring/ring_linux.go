@@ -36,6 +36,7 @@ const (
 
 	enterGetEvents = 1 << 0 // IORING_ENTER_GETEVENTS
 	enterSQWakeup  = 1 << 1 // IORING_ENTER_SQ_WAKEUP
+	enterSQWait    = 1 << 2 // IORING_ENTER_SQ_WAIT, kernel 5.10+
 
 	registerBuffers = 0 // IORING_REGISTER_BUFFERS
 	registerFiles   = 2 // IORING_REGISTER_FILES
@@ -312,9 +313,15 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries {
 		return false
 	}
-	head := atomic.LoadUint32(r.sqHead)
-	if r.localTail-head >= r.sqEntries {
-		return false
+	if r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
+		// Under SQPOLL the kernel thread posts the completions of reads
+		// served inline (page-cache hits) before it commits the SQ head,
+		// so a ring whose every completion was harvested can still look
+		// full. Refusing then would break the never-refuse-while-idle
+		// contract; wait for the head instead.
+		if !r.sqpoll || r.staged > 0 || r.inflight > 0 || !r.waitSQ() {
+			return false
+		}
 	}
 	idx := r.localTail & r.sqMask
 	sqe := unsafe.Pointer(&r.sqes[idx*sqeSize])
@@ -336,6 +343,23 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	r.localTail++
 	r.staged++
 	r.bufs[id] = buf
+	return true
+}
+
+// waitSQ blocks until the SQPOLL thread has consumed every published
+// SQE (IORING_ENTER_SQ_WAIT), waking the thread first if it idled out.
+// False when the kernel refuses the wait (before 5.10).
+func (r *iouRing) waitSQ() bool {
+	for r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
+		flags := uint32(enterSQWait)
+		if atomic.LoadUint32(r.sqFlags)&sqNeedWakeup != 0 {
+			flags |= enterSQWakeup
+		}
+		r.sys.Submits++
+		if _, err := enter(r.fd, 0, 0, flags); err != nil {
+			return false
+		}
+	}
 	return true
 }
 
