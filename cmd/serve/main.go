@@ -62,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"ringsampler/internal/core"
 	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/serve"
@@ -85,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		data         = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
 		nodes        = fs.Int64("nodes", 50_000, "node count for the temporary graph (with empty -data)")
 		edges        = fs.Int64("edges", 800_000, "edge count for the temporary graph (with empty -data)")
-		threads      = fs.Int("threads", 0, "worker-pool size (0: config default)")
+		threads      = fs.Int("threads", 0, "dispatcher slots; on a single node each runs one job at a time on a leased worker (0: config default)")
 		batch        = fs.Int("batch", 0, "engine mini-batch size / chunking granularity (0: config default)")
 		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
@@ -133,17 +132,34 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-shards %d: need 0 (single-node) or ≥ 2", *shards)
 	}
 
+	cfg := serve.DefaultConfig()
+	cfg.Backend = be
+	cfg.Core.CacheBudgetBytes = *cacheMB << 20
+	cfg.Core.FeatureCacheBudgetBytes = *featMB << 20
+	cfg.Core.FixedBuffers = *uringFixed
+	cfg.Core.RegisteredFiles = *uringReg
+	cfg.Core.SQPoll = *uringSQP
+	cfg.Core.Depth = *depth
+	if *threads > 0 {
+		cfg.Core.Threads = *threads
+	}
+	if *batch > 0 {
+		cfg.Core.BatchSize = *batch
+	}
+	if *queue > 0 {
+		cfg.QueueDepth = *queue
+	}
+	if *batchWindow > 0 {
+		cfg.BatchWindow = *batchWindow
+	}
+	if *maxBatch > 0 {
+		cfg.MaxBatchTargets = *maxBatch
+	}
+
+	var srv *serve.Server
 	if *routerURLs != "" {
 		// Pure router mode: resolve each shard's identity over HTTP and
 		// serve the scatter/gather front end — no local graph bytes.
-		cfg := serve.DefaultConfig()
-		cfg.Backend = be
-		if *threads > 0 {
-			cfg.Core.Threads = *threads
-		}
-		if *batch > 0 {
-			cfg.Core.BatchSize = *batch
-		}
 		var engines []shard.Engine
 		for _, u := range strings.Split(*routerURLs, ",") {
 			u = strings.TrimSpace(u)
@@ -158,18 +174,10 @@ func run(args []string, out io.Writer) error {
 			info := eng.Info()
 			fmt.Fprintf(out, "shard %d/%d at %s: nodes [%d,%d)\n", info.Index, info.Total, u, info.Lo, info.Hi)
 		}
-		srv, err := serve.NewRouter(engines, cfg)
-		if err != nil {
+		if srv, err = serve.NewRouter(engines, cfg); err != nil {
 			return err
 		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		rt := srv.Router()
-		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
-		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(out, srv, ln, *drainTimeout)
+		return listenAndServe(out, srv, *addr, *drainTimeout)
 	}
 
 	dir := *data
@@ -195,44 +203,20 @@ func run(args []string, out io.Writer) error {
 	}
 	defer ds.Close()
 
-	cfg := serve.DefaultConfig()
-	cfg.Backend = be
-	cfg.Core.CacheBudgetBytes = *cacheMB << 20
-	cfg.Core.FeatureCacheBudgetBytes = *featMB << 20
-	cfg.Core.FixedBuffers = *uringFixed
-	cfg.Core.RegisteredFiles = *uringReg
-	cfg.Core.SQPoll = *uringSQP
-	cfg.Core.Depth = *depth
-	if *threads > 0 {
-		cfg.Core.Threads = *threads
-	}
-	if *batch > 0 {
-		cfg.Core.BatchSize = *batch
-	}
-	if *queue > 0 {
-		cfg.QueueDepth = *queue
-	}
-	if *batchWindow > 0 {
-		cfg.BatchWindow = *batchWindow
-	}
-	if *maxBatch > 0 {
-		cfg.MaxBatchTargets = *maxBatch
-	}
-
 	if *benchShard != "" {
 		ds.Close()
 		return runShardBench(out, dir, cfg, *benchShard, *benchQuick)
 	}
+	// The shape lines every local mode prints (the load sweep skips the
+	// listener, so they cannot wait for it).
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), cfg.Backend)
+	if ds.HasFeatures() {
+		fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
+	}
+	if ds.HasLabels() {
+		fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
+	}
 	if *benchJSON != "" {
-		// The load sweep skips the listener, so report the dataset shape
-		// (the feature/label lines the serving path prints) here.
-		fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), cfg.Backend)
-		if ds.HasFeatures() {
-			fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
-		}
-		if ds.HasLabels() {
-			fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
-		}
 		return runBench(out, ds, cfg, *benchJSON, *benchQuick)
 	}
 
@@ -270,58 +254,44 @@ func run(args []string, out io.Writer) error {
 			lo, hi := sds.ShardRange()
 			fmt.Fprintf(out, "shard %d/%d: nodes [%d,%d)\n", i, len(dirs), lo, hi)
 		}
-		srv, err := serve.NewRouter(engines, cfg)
-		if err != nil {
+		if srv, err = serve.NewRouter(engines, cfg); err != nil {
 			return err
 		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		rt := srv.Router()
-		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges; backend %s\n", rt.Shards(), rt.NumNodes(), rt.NumEdges(), cfg.Backend)
-		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(out, srv, ln, *drainTimeout)
+		return listenAndServe(out, srv, *addr, *drainTimeout)
 	}
 
-	srv, err := serve.New(ds, cfg)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	eff := srv.Config()
-	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), eff.Backend)
-	if ds.HasFeatures() {
-		fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
-	}
-	if ds.HasLabels() {
-		fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
-	}
 	if ds.IsSharded() {
 		lo, hi := ds.ShardRange()
 		fmt.Fprintf(out, "dataset is shard %d/%d (nodes [%d,%d)): serving /v1/shard/* for a router\n",
 			ds.ShardIndex(), ds.NumShards(), lo, hi)
 	}
-	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d, window %v)\n",
-		ln.Addr(), eff.Core.Threads, eff.QueueDepth, eff.BatchWindow)
-	return serveLoop(out, srv, ln, *drainTimeout)
+	if srv, err = serve.New(ds, cfg); err != nil {
+		return err
+	}
+	return listenAndServe(out, srv, *addr, *drainTimeout)
 }
 
-// server is the surface the drain loop needs; serve.Server and
-// serve.RouterServer both provide it.
-type server interface {
-	Serve(net.Listener) error
-	Shutdown(context.Context) error
-	IOStats() core.IOStats
+// listenAndServe listens on addr, reports the server's shape and runs
+// serveLoop.
+func listenAndServe(out io.Writer, srv *serve.Server, addr string, drainTimeout time.Duration) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		srv.Shutdown(context.Background())
+		return err
+	}
+	if rt := srv.Router(); rt != nil {
+		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
+	}
+	eff := srv.Config()
+	fmt.Fprintf(out, "serving on http://%s (%d slots, queue %d, window %v)\n",
+		ln.Addr(), eff.Core.Threads, eff.QueueDepth, eff.BatchWindow)
+	return serveLoop(out, srv, ln, drainTimeout)
 }
 
 // serveLoop serves until SIGINT/SIGTERM, then drains gracefully. The
 // first signal stops admission and lets in-flight requests finish
 // (bounded by drainTimeout); a second signal force-cancels.
-func serveLoop(out io.Writer, srv server, ln net.Listener, drainTimeout time.Duration) error {
+func serveLoop(out io.Writer, srv *serve.Server, ln net.Listener, drainTimeout time.Duration) error {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)

@@ -74,13 +74,6 @@ type ShardSweepResult struct {
 	Points     []ShardSweepPoint `json:"points"`
 }
 
-// frontend is what both serve.Server and serve.RouterServer offer the
-// sweep — boot on a listener, drain on the way out.
-type frontend interface {
-	Serve(net.Listener) error
-	Shutdown(context.Context) error
-}
-
 // ShardSweep runs the sweep over the dataset in dir. It needs the
 // directory rather than an open dataset because each shard count > 1
 // physically partitions the files into a temporary directory. Any
@@ -154,7 +147,7 @@ func shardSweepPoint(dir string, cfg ShardSweepConfig, n int, numNodes int64, st
 		cfg.Serve.Backend = be
 	}
 
-	var fe frontend
+	var fe *serve.Server
 	var closers []func()
 	closeAll := func() {
 		for i := len(closers) - 1; i >= 0; i-- {

@@ -85,10 +85,9 @@ type metrics struct {
 	shardCalls       atomic.Int64 // shard-protocol calls served (/v1/shard/*)
 
 	// Pipeline gauges and counters.
-	queueDepth     atomic.Int64 // jobs admitted but not yet picked up
-	inflight       atomic.Int64 // requests currently being handled
-	dispatched     atomic.Int64 // micro-batches flushed to the pool
-	workersRetired atomic.Int64 // broken workers retired and replaced
+	queueDepth atomic.Int64 // jobs admitted but not yet picked up
+	inflight   atomic.Int64 // requests currently being handled
+	dispatched atomic.Int64 // micro-batches flushed to the slots
 
 	// Batch-shape and per-stage latency histograms.
 	batchTargets *hist // targets per micro-batch
@@ -133,9 +132,10 @@ func writeHist(w io.Writer, name, help string, h *hist, scale float64) {
 }
 
 // write renders the full metrics surface: serving-layer counters and
-// histograms plus the pool's merged ring-level IOStats (live workers
-// and retired ones — retirement never drops counters).
-func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int) {
+// histograms plus the engine's merged ring-level IOStats (live workers
+// and retired ones — retirement never drops counters) and how many
+// broken workers it retired.
+func (m *metrics) write(w io.Writer, ioStats core.IOStats, retired int64, workers, queueCap int) {
 	writeMetric(w, "ringsampler_serve_requests_total", "counter", "Requests admitted past validation.", m.requests.Load())
 	writeMetric(w, "ringsampler_serve_feature_requests_total", "counter", "Admitted requests that asked for feature payloads.", m.featureRequests.Load())
 	writeMetric(w, "ringsampler_serve_responses_ok_total", "counter", "Requests answered 200.", m.responsesOK.Load())
@@ -150,9 +150,9 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int
 	writeMetric(w, "ringsampler_serve_queue_depth", "gauge", "Jobs admitted but not yet picked up by a worker.", m.queueDepth.Load())
 	writeMetric(w, "ringsampler_serve_queue_capacity", "gauge", "Bounded admission queue capacity (jobs).", int64(queueCap))
 	writeMetric(w, "ringsampler_serve_inflight_requests", "gauge", "Requests currently being handled.", m.inflight.Load())
-	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the pinned worker pool.", int64(workers))
-	writeMetric(w, "ringsampler_serve_batches_total", "counter", "Micro-batches dispatched to the worker pool.", m.dispatched.Load())
-	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", m.workersRetired.Load())
+	writeMetric(w, "ringsampler_serve_workers", "gauge", "Dispatcher slots, each running one job at a time on a leased worker.", int64(workers))
+	writeMetric(w, "ringsampler_serve_batches_total", "counter", "Micro-batches dispatched to the slots.", m.dispatched.Load())
+	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", retired)
 
 	writeHist(w, "ringsampler_serve_batch_targets", "Target nodes per dispatched micro-batch.", m.batchTargets, 1)
 	writeHist(w, "ringsampler_serve_batch_jobs", "Jobs per dispatched micro-batch.", m.batchJobs, 1)

@@ -6,9 +6,9 @@
 //
 // The shape follows what DiskGNN and Jiang et al. argue for disk-based
 // GNN serving: a single coalescing/admission layer in front of a fixed
-// worker pool, never a worker per connection — uncoordinated concurrent
-// samplers destroy disk throughput, and a bounded queue that fast-fails
-// beats one that queues unboundedly.
+// set of dispatcher slots, never a worker per connection —
+// uncoordinated concurrent samplers destroy disk throughput, and a
+// bounded queue that fast-fails beats one that queues unboundedly.
 //
 //	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"strategy":"..."} → layered samples
 //	GET  /healthz    — liveness (503 while draining)
@@ -25,8 +25,8 @@
 // the request is sharded into Core.BatchSize chunks and chunk i is
 // sampled with RNG seed sample.Mix(seed, i), exactly how
 // core.RunEpoch seeds its mini-batches — regardless of which
-// micro-batch the chunks were coalesced into or which pooled worker
-// ran them.
+// micro-batch the chunks were coalesced into, which leased worker ran
+// them, or whether a router scattered them over shards.
 package serve
 
 import (
@@ -55,17 +55,18 @@ const maxBodyBytes = 8 << 20
 
 // Config controls the serving layer. Zero values for the serving knobs
 // select the documented defaults; Core carries the engine config
-// (Core.Threads is the worker-pool size, Core.BatchSize the chunking
-// granularity of the determinism contract).
+// (Core.Threads is the number of dispatcher slots, Core.BatchSize the
+// chunking granularity of the determinism contract).
 type Config struct {
-	// Core is the engine configuration behind the pool.
+	// Core is the engine configuration behind the slots.
 	Core core.Config
 	// Backend selects the ring backend; empty picks io_uring when the
 	// environment supports it, the portable pread pool otherwise.
 	Backend uring.Backend
 	// QueueDepth bounds the admission queue in jobs (chunks). A full
 	// queue fast-fails new requests with 429 instead of queuing
-	// unboundedly. Default 256.
+	// unboundedly. Behind a router it also bounds the jobs in flight.
+	// Default 256.
 	QueueDepth int
 	// BatchWindow is how long the dispatcher waits for more jobs after
 	// a group's first job before flushing a partial micro-batch.
@@ -149,21 +150,39 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Server is the running service: sampler + worker pool + dispatcher +
-// HTTP front end. Create with New, serve with Serve, stop with
+// Server is the running service: HTTP front end + bounded admission
+// queue + micro-batching dispatcher + Core.Threads dispatcher slots.
+// A slot runs each job on a worker leased from a shard.Local (New), or
+// scatters it over a partition through a shard.Router (NewRouter).
+// That step is the only one the two differ in, besides the /v1/shard/*
+// endpoints a single node also answers. Serve with Serve, stop with
 // Shutdown.
 type Server struct {
-	cfg  Config
-	ds   *storage.Dataset
-	s    *core.Sampler
-	met  *metrics
-	pool *pool
-	// local answers the shard protocol (/v1/shard/*) over the same
-	// sampler, so this server can serve as one shard of a partition —
-	// or as the sole shard of a 1-partition — behind a router.
+	cfg Config
+	met *metrics
+	// Exactly one of local and rt is set, and eng is that one. local
+	// also answers the shard protocol (/v1/shard/*) over the same
+	// sampler, so a single-node server can serve as one shard of a
+	// partition — or as the sole shard of a 1-partition — behind a
+	// router.
 	local *shard.Local
+	rt    *shard.Router
+	eng   interface {
+		Stats() core.IOStats
+		Retired() int64
+		Close() error
+	}
+	// routed holds one token per routed job in flight (nil on a single
+	// node); its capacity, QueueDepth, bounds them.
+	routed chan struct{}
+	// ds is the single-node dataset (nil behind a router).
+	ds          *storage.Dataset
+	numNodes    int64
+	hasFeatures bool
 
 	queue        chan *job
+	groups       chan group
+	slots        sync.WaitGroup
 	quit         chan struct{}
 	dispatchDone chan struct{}
 
@@ -183,8 +202,8 @@ type Server struct {
 }
 
 // New validates the config, builds the sampler (hot cache included when
-// budgeted), and starts the worker pool and dispatcher. The server is
-// live once Serve is called on a listener.
+// budgeted) and the shard.Local that leases its workers, and starts the
+// dispatcher. The server is live once Serve is called on a listener.
 func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -194,58 +213,112 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:          cfg,
-		ds:           ds,
-		s:            sampler,
-		met:          newMetrics(),
-		queue:        make(chan *job, cfg.QueueDepth),
-		quit:         make(chan struct{}),
-		dispatchDone: make(chan struct{}),
+	local := shard.NewLocalFrom(ds, sampler)
+	return start(&Server{
+		cfg:         cfg,
+		local:       local,
+		eng:         local,
+		ds:          ds,
+		numNodes:    ds.NumNodes(),
+		hasFeatures: ds.HasFeatures(),
+	}), nil
+}
+
+// NewRouter validates that the engines tile the graph (shard.NewRouter
+// does the partition checks) and returns a server whose slots sample
+// each job by scattering its layers to the engines. It holds no graph
+// bytes and no RNG, so any number of router replicas can front the
+// same shards; the response for (targets, fanouts, seed, strategy) is
+// byte-identical — digest included — to New over the unpartitioned
+// dataset (DESIGN.md §12). The engines are owned by the server from
+// here on: Shutdown closes them.
+func NewRouter(engines []shard.Engine, cfg Config) (*Server, error) {
+	def := core.DefaultConfig()
+	if len(cfg.Core.Fanouts) == 0 {
+		cfg.Core.Fanouts = def.Fanouts
 	}
+	if cfg.Core.BatchSize == 0 {
+		cfg.Core.BatchSize = def.BatchSize
+	}
+	if cfg.Core.Threads == 0 {
+		cfg.Core.Threads = def.Threads
+	}
+	cfg.fillDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !core.ValidStrategy(cfg.Core.Strategy) {
+		return nil, fmt.Errorf("serve: unknown default strategy %q", cfg.Core.Strategy)
+	}
+	rt, err := shard.NewRouter(engines)
+	if err != nil {
+		return nil, err
+	}
+	return start(&Server{
+		cfg:         cfg,
+		rt:          rt,
+		eng:         rt,
+		routed:      make(chan struct{}, cfg.QueueDepth),
+		numNodes:    rt.NumNodes(),
+		hasFeatures: rt.HasFeatures(),
+	}), nil
+}
+
+// start wires the HTTP routes and starts the dispatcher and its slots.
+func start(s *Server) *Server {
+	s.met = newMetrics()
+	s.queue = make(chan *job, s.cfg.QueueDepth)
+	s.groups = make(chan group)
+	s.quit = make(chan struct{})
+	s.dispatchDone = make(chan struct{})
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.pool = newPool(sampler, s.met, cfg.Core.Threads)
-	s.local = shard.NewLocalFrom(ds, sampler)
 	go s.dispatch()
+	s.slots.Add(s.cfg.Core.Threads)
+	for range s.cfg.Core.Threads {
+		go s.slot()
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sample", s.handleSample)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
-	mux.HandleFunc("POST /v1/shard/layer", s.handleShardLayer)
-	mux.HandleFunc("POST /v1/shard/features", s.handleShardFeatures)
+	if s.local != nil {
+		mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
+		mux.HandleFunc("POST /v1/shard/layer", s.handleShardLayer)
+		mux.HandleFunc("POST /v1/shard/features", s.handleShardFeatures)
+	}
 	s.http = &http.Server{Handler: mux}
-	return s, nil
+	return s
 }
 
 // Config returns the server's effective (default-filled) config.
 func (s *Server) Config() Config { return s.cfg }
 
-// IOStats returns the merged ring-level I/O counters: the pool's
-// workers (retired included) plus any workers the shard endpoints
-// leased.
-func (s *Server) IOStats() core.IOStats {
-	st := s.pool.Stats()
-	st.Add(s.local.Stats())
-	return st
-}
+// Router returns the scatter/gather router behind a NewRouter server
+// (nil on a single node).
+func (s *Server) Router() *shard.Router { return s.rt }
+
+// IOStats returns the merged ring-level I/O counters: every worker the
+// shard.Local leased, retired ones included, or the router's engines
+// summed (zeros from remote engines — their counters live in their own
+// servers' /metrics).
+func (s *Server) IOStats() core.IOStats { return s.eng.Stats() }
 
 // Serve accepts connections on ln until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like net/http.
 func (s *Server) Serve(ln net.Listener) error { return s.http.Serve(ln) }
 
 // Shutdown drains gracefully: stop admitting, let in-flight requests
-// finish through the pipeline, then stop the dispatcher and workers.
-// When ctx expires first, outstanding requests are force-canceled and
-// connections closed — workers still never die mid-batch. Safe to call
-// once; later calls return the first result.
+// finish through the pipeline, then stop the dispatcher and close the
+// engine. When ctx expires first, outstanding requests are
+// force-canceled and connections closed — workers still never die
+// mid-batch. Safe to call once; later calls return the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
 		// Drain HTTP first: Shutdown waits for active handlers, and every
 		// handler waits for its jobs, so the queue empties through the
-		// workers before the pipeline is stopped.
+		// slots before the pipeline is stopped.
 		err := s.http.Shutdown(ctx)
 		if err != nil {
 			// Deadline expired mid-drain: cancel every in-flight request
@@ -275,8 +348,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 			break
 		}
-		s.pool.wait()
-		s.local.Close()
+		s.slots.Wait()
+		if cerr := s.eng.Close(); err == nil {
+			err = cerr
+		}
 		s.cancelBase()
 		s.shutErr = err
 	})
@@ -294,7 +369,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.IOStats(), s.cfg.Core.Threads, s.cfg.QueueDepth)
+	s.met.write(w, s.eng.Stats(), s.eng.Retired(), s.cfg.Core.Threads, s.cfg.QueueDepth)
 }
 
 // sampleRequest is the POST /v1/sample body.
@@ -380,63 +455,100 @@ func checkTargets(targets []uint32, numNodes int64) error {
 	return nil
 }
 
-// validateSample is the admission validation shared by the pooled
-// server and the router front end. It resolves the ?features query
-// flag into req, and returns the effective fanouts and per-request
-// timeout — or the message for a 400.
-func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes int64, hasFeatures bool) ([]int, time.Duration, error) {
+// validateSample is the whole admission check of POST /v1/sample:
+// it decodes the body, resolves the ?features query flag, the default
+// fanouts and the default strategy into the returned request, and
+// returns the per-request timeout — or the message for a 400.
+func (c *Config) validateSample(r *http.Request, numNodes int64, hasFeatures bool) (sampleRequest, time.Duration, error) {
+	var req sampleRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		return req, 0, fmt.Errorf("malformed JSON: %v", err)
+	}
 	if len(req.Targets) == 0 {
-		return nil, 0, fmt.Errorf("request needs at least one target")
+		return req, 0, fmt.Errorf("request needs at least one target")
 	}
 	if len(req.Targets) > c.MaxTargetsPerRequest {
-		return nil, 0, fmt.Errorf("request has %d targets, limit %d", len(req.Targets), c.MaxTargetsPerRequest)
+		return req, 0, fmt.Errorf("request has %d targets, limit %d", len(req.Targets), c.MaxTargetsPerRequest)
 	}
 	if err := checkTargets(req.Targets, numNodes); err != nil {
-		return nil, 0, err
+		return req, 0, err
 	}
 	if q := r.URL.Query().Get("features"); q != "" {
 		on, err := strconv.ParseBool(q)
 		if err != nil {
-			return nil, 0, fmt.Errorf("features query parameter must be a boolean: %v", err)
+			return req, 0, fmt.Errorf("features query parameter must be a boolean: %v", err)
 		}
 		req.Features = req.Features || on
 	}
 	if req.Features && !hasFeatures {
-		return nil, 0, fmt.Errorf("features requested but the dataset has no feature file")
+		return req, 0, fmt.Errorf("features requested but the dataset has no feature file")
 	}
-	fanouts := req.Fanouts
-	if len(fanouts) == 0 {
-		fanouts = c.Core.Fanouts
+	if len(req.Fanouts) == 0 {
+		req.Fanouts = c.Core.Fanouts
 	}
-	if len(fanouts) > c.MaxFanoutLayers {
-		return nil, 0, fmt.Errorf("%d fanout layers, limit %d", len(fanouts), c.MaxFanoutLayers)
+	if len(req.Fanouts) > c.MaxFanoutLayers {
+		return req, 0, fmt.Errorf("%d fanout layers, limit %d", len(req.Fanouts), c.MaxFanoutLayers)
 	}
-	for i, f := range fanouts {
+	for i, f := range req.Fanouts {
 		if f < 1 || f > c.MaxFanout {
-			return nil, 0, fmt.Errorf("fanout[%d] = %d out of range [1,%d]", i, f, c.MaxFanout)
+			return req, 0, fmt.Errorf("fanout[%d] = %d out of range [1,%d]", i, f, c.MaxFanout)
 		}
 	}
 	if !core.ValidStrategy(req.Strategy) {
-		return nil, 0, fmt.Errorf("unknown strategy %q (known: %v)", req.Strategy, core.StrategyNames())
+		return req, 0, fmt.Errorf("unknown strategy %q (known: %v)", req.Strategy, core.StrategyNames())
+	}
+	if req.Strategy == "" {
+		// Resolve the default here, before the name can fan out to
+		// shards: every shard must replay under the same explicit name.
+		req.Strategy = c.Core.Strategy
 	}
 	if req.TimeoutMS < 0 {
 		// A negative timeout is a client bug, not a request for the
 		// default — rejecting beats silently substituting one.
-		return nil, 0, fmt.Errorf("timeout_ms %d must be non-negative", req.TimeoutMS)
+		return req, 0, fmt.Errorf("timeout_ms %d must be non-negative", req.TimeoutMS)
 	}
 	timeout := c.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > c.MaxTimeout {
-			timeout = c.MaxTimeout
+		// Cap before converting: a huge timeout_ms would overflow the
+		// Duration product into a negative deadline.
+		timeout = c.MaxTimeout
+		if req.TimeoutMS <= c.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
-	return fanouts, timeout, nil
+	return req, timeout, nil
 }
 
-// buildResponse assembles the wire response from ordered batches —
-// shared by the pooled server and the router, which is what keeps the
-// two response formats (and digests) identical by construction.
+// validateLayer is the admission check of POST /v1/shard/layer: it
+// decodes the body and parses its RNG state, and rejects shapes the
+// shard must not sample — or returns the message for a 400.
+func (c *Config) validateLayer(r *http.Request, numNodes int64) (shard.LayerRequest, uint64, error) {
+	var req shard.LayerRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		return req, 0, fmt.Errorf("malformed JSON: %v", err)
+	}
+	state, err := shard.ParseState(req.RNGState)
+	if err != nil {
+		return req, 0, err
+	}
+	if req.Layer < 0 || req.Fanout < 1 || req.Fanout > c.MaxFanout {
+		return req, 0, fmt.Errorf("layer %d / fanout %d out of range (fanout limit %d)", req.Layer, req.Fanout, c.MaxFanout)
+	}
+	if len(req.Frontier) == 0 {
+		return req, 0, fmt.Errorf("layer request needs a non-empty frontier")
+	}
+	if req.Strategy == "" || !core.ValidStrategy(req.Strategy) {
+		// The router must pin an explicit strategy: resolving "" against
+		// this shard's local default could disagree with its peers.
+		return req, 0, fmt.Errorf("shard layer requests need an explicit strategy (known: %v), got %q", core.StrategyNames(), req.Strategy)
+	}
+	if err := checkTargets(req.Frontier, numNodes); err != nil {
+		return req, 0, err
+	}
+	return req, state, nil
+}
+
+// buildResponse assembles the wire response from ordered batches.
 func buildResponse(batches []*core.Batch, t0 time.Time) sampleResponse {
 	resp := sampleResponse{Batches: make([]batchJSON, len(batches))}
 	var folded uint64
@@ -472,18 +584,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return
 	}
-	if s.ds.IsSharded() {
+	if s.ds != nil && s.ds.IsSharded() {
 		s.badRequest(w, fmt.Sprintf("dataset is shard %d/%d: whole-graph sampling needs a router over the full partition (this server answers /v1/shard/*)",
 			s.ds.ShardIndex(), s.ds.NumShards()))
 		return
 	}
-	var req sampleRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
-		return
-	}
-	fanouts, timeout, verr := s.cfg.validateSample(r, &req, s.ds.NumNodes(), s.ds.HasFeatures())
+	req, timeout, verr := s.cfg.validateSample(r, s.numNodes, s.hasFeatures)
 	if verr != nil {
 		s.badRequest(w, verr.Error())
 		return
@@ -496,7 +602,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	defer stopAfter()
 	// Jobs carry a child of the handler context: the first failing
 	// chunk cancels it (request.jobDone), so sibling chunks are skipped
-	// by the pool — while the handler keeps waiting on rq.done and
+	// by the slots — while the handler keeps waiting on rq.done and
 	// reports the real error, not its own cancellation.
 	jobCtx, jobCancel := context.WithCancel(ctx)
 	defer jobCancel()
@@ -510,20 +616,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// Shard into the engine's mini-batch granularity. Chunk i samples
 	// under sample.Mix(seed, i) — the same derivation core.RunEpoch
 	// uses per batch — which is what makes the response independent of
-	// coalescing, worker identity, and pool size.
+	// coalescing, worker identity, slot count and shard count.
 	chunkSize := s.cfg.Core.BatchSize
 	numChunks := (len(req.Targets) + chunkSize - 1) / chunkSize
 	rq := newRequest(numChunks, jobCancel)
 	for ci := 0; ci < numChunks; ci++ {
 		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > len(req.Targets) {
-			hi = len(req.Targets)
-		}
+		hi := min(lo+chunkSize, len(req.Targets))
 		j := &job{
 			ctx:      jobCtx,
 			targets:  req.Targets[lo:hi],
-			fanouts:  fanouts,
+			fanouts:  req.Fanouts,
 			seed:     sample.Mix(req.Seed, uint64(ci)),
 			features: req.Features,
 			strategy: req.Strategy,
@@ -570,10 +673,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 }
 
 // Shard protocol handlers: this server as one engine of a partition.
-// They answer over the same sampler (caches shared with the pool) but
-// lease workers per call through the shard.Local engine instead of
-// riding the micro-batching queue — layer calls are already
-// router-batched and must not coalesce with anything.
+// They lease workers from the same shard.Local as the dispatcher
+// slots, but per call instead of riding the micro-batching queue —
+// layer calls are already router-batched and must not coalesce with
+// anything.
 
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.local.Info())
@@ -587,32 +690,8 @@ func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return
 	}
-	var req shard.LayerRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
-		return
-	}
-	state, err := shard.ParseState(req.RNGState)
+	req, state, err := s.cfg.validateLayer(r, s.numNodes)
 	if err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	if req.Layer < 0 || req.Fanout < 1 || req.Fanout > s.cfg.MaxFanout {
-		s.badRequest(w, fmt.Sprintf("layer %d / fanout %d out of range (fanout limit %d)", req.Layer, req.Fanout, s.cfg.MaxFanout))
-		return
-	}
-	if len(req.Frontier) == 0 {
-		s.badRequest(w, "layer request needs a non-empty frontier")
-		return
-	}
-	if req.Strategy == "" || !core.ValidStrategy(req.Strategy) {
-		// The router must pin an explicit strategy: resolving "" against
-		// this shard's local default could disagree with its peers.
-		s.badRequest(w, fmt.Sprintf("shard layer requests need an explicit strategy (known: %v), got %q", core.StrategyNames(), req.Strategy))
-		return
-	}
-	if err := checkTargets(req.Frontier, s.ds.NumNodes()); err != nil {
 		s.badRequest(w, err.Error())
 		return
 	}
@@ -675,12 +754,8 @@ func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
 // failCanceled maps a dead request context to its status: 504 for a
 // deadline, 503 for everything else (client gone, forced drain).
 func (s *Server) failCanceled(w http.ResponseWriter, ctx context.Context) {
-	failCanceled(w, ctx, s.met)
-}
-
-func failCanceled(w http.ResponseWriter, ctx context.Context, m *metrics) {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		m.deadlineExceeded.Add(1)
+		s.met.deadlineExceeded.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
 		return
 	}

@@ -19,10 +19,10 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// startRouterServer boots a RouterServer over engines on a loopback
-// listener. Shutdown (which closes the engines) is registered as
-// cleanup.
-func startRouterServer(t *testing.T, engines []shard.Engine, cfg Config) (*RouterServer, string) {
+// startRouterServer boots a router-fronted Server over engines on a
+// loopback listener. Shutdown (which closes the engines) is registered
+// as cleanup.
+func startRouterServer(t *testing.T, engines []shard.Engine, cfg Config) (*Server, string) {
 	t.Helper()
 	srv, err := NewRouter(engines, cfg)
 	if err != nil {

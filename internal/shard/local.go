@@ -12,17 +12,24 @@ import (
 
 // Local is the in-process Engine: today's storage + cache + ring-worker
 // bundle over one (possibly shard) dataset, behind the shard seam. It
-// leases workers from a lazily grown free list — the same
-// lease/retire-on-broken discipline as the serve pool, minus the
-// micro-batching (the router already batches by chunk).
+// is also the only place workers are leased: per call from a lazily
+// grown free list, with every worker id handed out once, and a worker
+// whose rings cannot be proven empty after a failed call
+// (core.Worker.Broken) retired — its counters kept — instead of
+// reused. The serve dispatcher and the shard endpoints both lease
+// through it.
 type Local struct {
 	s    *core.Sampler
 	info Info
 
-	mu      sync.Mutex
-	idle    []*core.Worker
+	mu   sync.Mutex
+	idle []*core.Worker
+	// live holds every unretired worker's counters as of its last
+	// release, so Stats stays monotone while workers are leased.
+	live    map[*core.Worker]core.IOStats
 	nextID  int
 	retired core.IOStats
+	broken  int64
 	closed  bool
 }
 
@@ -49,7 +56,8 @@ func NewLocalFrom(ds *storage.Dataset, s *core.Sampler) *Local {
 		total = 1
 	}
 	return &Local{
-		s: s,
+		s:    s,
+		live: make(map[*core.Worker]core.IOStats),
 		info: Info{
 			Index: index, Total: total, Lo: lo, Hi: hi,
 			NumNodes: ds.NumNodes(), NumEdges: ds.NumEdges(),
@@ -77,71 +85,96 @@ func (l *Local) acquire() (*core.Worker, error) {
 	id := l.nextID
 	l.nextID++
 	l.mu.Unlock()
-	return l.s.NewWorker(id)
+	w, err := l.s.NewWorker(id)
+	if err != nil {
+		// Creation is retried on the next lease: nothing is cached.
+		return nil, fmt.Errorf("shard: no worker available: %w", err)
+	}
+	return w, nil
 }
 
 // release returns a worker to the free list, or retires it (folding its
 // counters into the engine's) when a failed call left its rings
 // unprovably empty.
 func (l *Local) release(w *core.Worker) {
-	if w == nil {
-		return
-	}
+	st := w.IOStats()
 	l.mu.Lock()
 	if w.Broken() || l.closed {
-		l.retired.Add(w.IOStats())
+		if w.Broken() {
+			l.broken++
+		}
+		delete(l.live, w)
+		l.retired.Add(st)
 		l.mu.Unlock()
 		w.Close()
 		return
 	}
+	l.live[w] = st
 	l.idle = append(l.idle, w)
 	l.mu.Unlock()
 }
 
-// SampleLayer implements Engine via core.Worker.SampleLayer.
-func (l *Local) SampleLayer(ctx context.Context, frontier []uint32, p core.LayerParams) (*core.Layer, uint64, error) {
+// lease runs fn on a leased worker, unless ctx is already done.
+func (l *Local) lease(ctx context.Context, fn func(*core.Worker) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	w, err := l.acquire()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	layer, state, err := w.SampleLayer(frontier, p)
-	l.release(w)
+	defer l.release(w)
+	return fn(w)
+}
+
+// SampleBatch samples one whole mini-batch via
+// core.Worker.SampleBatchOpts — the serve dispatcher's path on a
+// single node.
+func (l *Local) SampleBatch(ctx context.Context, targets []uint32, o core.BatchOpts) (b *core.Batch, err error) {
+	err = l.lease(ctx, func(w *core.Worker) error {
+		b, err = w.SampleBatchOpts(targets, o)
+		return err
+	})
+	return b, err
+}
+
+// SampleLayer implements Engine via core.Worker.SampleLayer.
+func (l *Local) SampleLayer(ctx context.Context, frontier []uint32, p core.LayerParams) (layer *core.Layer, state uint64, err error) {
+	err = l.lease(ctx, func(w *core.Worker) error {
+		layer, state, err = w.SampleLayer(frontier, p)
+		return err
+	})
 	return layer, state, err
 }
 
 // Features implements Engine via core.Worker.FetchFeatures.
-func (l *Local) Features(ctx context.Context, nodes []uint32) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w, err := l.acquire()
-	if err != nil {
-		return nil, err
-	}
-	out, err := w.FetchFeatures(nodes)
-	l.release(w)
+func (l *Local) Features(ctx context.Context, nodes []uint32) (out []byte, err error) {
+	err = l.lease(ctx, func(w *core.Worker) error {
+		out, err = w.FetchFeatures(nodes)
+		return err
+	})
 	return out, err
 }
 
-// Stats implements Engine: retired plus idle workers' counters. Workers
-// leased at the instant of the call are excluded until released, so a
-// quiescent engine reports exact totals.
+// Stats implements Engine: retired workers' counters plus every live
+// worker's as of its last release. A call still running is counted
+// once it returns, so a quiescent engine reports exact totals.
 func (l *Local) Stats() core.IOStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.retired
-	for _, w := range l.idle {
-		st.Add(w.IOStats())
+	for _, ws := range l.live {
+		st.Add(ws)
 	}
 	return st
 }
 
-// Sampler exposes the underlying sampler (cache introspection, shared
-// serve wiring). Nil-safe only on a non-nil engine.
-func (l *Local) Sampler() *core.Sampler { return l.s }
+// Retired returns how many broken workers the engine has retired.
+func (l *Local) Retired() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.broken
+}
 
 // Close retires every idle worker. Leased workers are retired as they
 // are released.
@@ -155,7 +188,8 @@ func (l *Local) Close() error {
 	idle := l.idle
 	l.idle = nil
 	for _, w := range idle {
-		l.retired.Add(w.IOStats())
+		l.retired.Add(l.live[w])
+		delete(l.live, w)
 	}
 	l.mu.Unlock()
 	var err error

@@ -95,6 +95,18 @@ func (r *Router) Stats() core.IOStats {
 	return st
 }
 
+// Retired sums the broken workers the in-process (Local) engines
+// retired; Remote engines report theirs in their own servers' /metrics.
+func (r *Router) Retired() int64 {
+	var n int64
+	for _, e := range r.engines {
+		if l, ok := e.(*Local); ok {
+			n += l.Retired()
+		}
+	}
+	return n
+}
+
 // Close closes every engine.
 func (r *Router) Close() error {
 	var err error

@@ -35,6 +35,15 @@ go test -race -run 'TestShardConformance' ./internal/serve
 # stream; DESIGN.md §13).
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
 
+# Repeat gates (full mode only): intermittent failures in the knob
+# matrix and the shard determinism gates must show up before merge, so
+# they run 20 times each. QUICK=1 skips the repeats.
+if [ "${QUICK:-0}" != "1" ]; then
+    go test -count=20 -run 'TestKnobMatrixConformance' ./internal/core
+    go test -count=20 -run 'TestShardConformance' ./internal/serve
+    go test -count=20 -run 'TestRouterMatchesSingleNode' ./internal/shard
+fi
+
 if [ "${QUICK:-0}" = "1" ]; then
     go test -race -short ./...
 else
