@@ -24,9 +24,8 @@
 //
 // The io_uring fast-path knobs are plumbed through as flags:
 // -uring-fixed (registered buffers + READ_FIXED), -uring-regfiles
-// (IOSQE_FIXED_FILE), -uring-sqpoll (kernel-thread submission),
-// -odirect (page-cache bypass with probed alignment) and -depth
-// (in-flight cap). -probe prints the per-feature capability set;
+// (IOSQE_FIXED_FILE) and -odirect (page-cache bypass with probed
+// alignment). -probe prints the per-feature capability set;
 // -bench-uring runs the knob-ablation sweep and writes
 // benchdata/BENCH_uring.json-shaped output with digest identity
 // enforced across combinations.
@@ -49,7 +48,7 @@
 //	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
 //	go run ./cmd/epoch -targets 4096 -cache-mb 64 -bench-json benchdata/BENCH_epoch.json
 //	go run ./cmd/epoch -probe
-//	go run ./cmd/epoch -targets 4096 -uring-fixed -uring-sqpoll -odirect
+//	go run ./cmd/epoch -targets 4096 -uring-fixed -uring-regfiles -odirect
 //	go run ./cmd/epoch -targets 2048 -bench-uring benchdata/BENCH_uring.json
 package main
 
@@ -111,9 +110,7 @@ func run(args []string, out io.Writer) error {
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		uringFixed  = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
 		uringReg    = fs.Bool("uring-regfiles", false, "register the edge file and submit with IOSQE_FIXED_FILE (real backend only)")
-		uringSQP    = fs.Bool("uring-sqpoll", false, "create SQPOLL rings: kernel-thread submission, zero steady-state submit syscalls (real backend only)")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
-		depth       = fs.Int("depth", 0, "cap in-flight reads per worker (0: bounded only by the ring)")
 		benchUring  = fs.String("bench-uring", "", "run the knob-ablation sweep and write its JSON summary to this file")
 		benchQuick  = fs.Bool("bench-uring-quick", false, "shrink the knob sweep to the plain-vs-fixed smoke pair")
 		featureDim  = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
@@ -143,7 +140,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  ring:             %v\n", caps.Ring)
 		fmt.Fprintf(out, "  fixed buffers:    %v\n", caps.ReadFixed)
 		fmt.Fprintf(out, "  registered files: %v\n", caps.RegisteredFiles)
-		fmt.Fprintf(out, "  sqpoll:           %v\n", caps.SQPoll)
 		// -probe with -data also inspects the dataset itself; before, the
 		// flag was silently ignored here and a featureful dataset was
 		// indistinguishable from an edge-only one.
@@ -240,8 +236,6 @@ func run(args []string, out io.Writer) error {
 	cfg.CacheBudgetBytes = *cacheMB << 20
 	cfg.FixedBuffers = *uringFixed
 	cfg.RegisteredFiles = *uringReg
-	cfg.SQPoll = *uringSQP
-	cfg.Depth = *depth
 	cfg.FetchFeatures = *features
 	cfg.FeatureCacheBudgetBytes = *featMB << 20
 	if *threads > 0 {
@@ -368,8 +362,8 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 				fn, fb, cfg.FeatureCacheBudgetBytes, st.IO.FeatCacheHits, st.IO.FeatCacheMisses, st.IO.FeatCacheBytes)
 		}
 	}
-	fmt.Fprintf(out, "  device    %d B picked, %d B gap, %d B align slack\n",
-		st.IO.BytesRead+st.IO.FeatBytesRead, st.IO.GapBytes, st.IO.AlignSlackBytes)
+	fmt.Fprintf(out, "  device    %d B: %d B picked, %d B gap, %d B align slack\n",
+		st.IO.DeviceBytes(), st.IO.BytesRead+st.IO.FeatBytesRead, st.IO.GapBytes, st.IO.AlignSlackBytes)
 	fmt.Fprintf(out, "  io        %+v\n", st.IO)
 	for wid, ws := range st.PerWorker {
 		fmt.Fprintf(out, "  worker %2d %+v\n", wid, ws)
@@ -436,7 +430,7 @@ func writeBenchJSON(ctx context.Context, out io.Writer, path, dir string, ds *st
 			CacheMB:       mb,
 			EntriesPerSec: st.EntriesPerSec,
 			BytesPerSec:   st.BytesPerSec,
-			DeviceBytes:   st.IO.BytesRead,
+			DeviceBytes:   st.IO.DeviceBytes(),
 			Sampled:       st.Sampled,
 		}
 		p.CacheNodes, _ = s.CacheInfo()
@@ -644,7 +638,7 @@ func writeBenchStrategy(out io.Writer, path, dir string, ds *storage.Dataset, cf
 			Strategy:      p.Strategy,
 			Threads:       p.Threads,
 			EntriesPerSec: p.Stats.EntriesPerSec,
-			DeviceBytes:   p.Stats.IO.BytesRead,
+			DeviceBytes:   p.Stats.IO.DeviceBytes(),
 			Sampled:       p.Stats.Sampled,
 			Digest:        fmt.Sprintf("%#016x", p.Digest),
 		}

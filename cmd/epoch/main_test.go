@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"ringsampler/internal/core"
+	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
+	"ringsampler/internal/sample"
+	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
@@ -139,6 +143,83 @@ func TestRunBenchJSON(t *testing.T) {
 	}
 }
 
+// epochIO runs one sim-backend epoch at the CLI defaults the bench
+// writers use (seed 1, 2 threads, batch 64) over 256 uniform targets
+// drawn from salt, and returns its merged I/O counters.
+func epochIO(t *testing.T, dir string, salt uint64, strategy string) core.IOStats {
+	t.Helper()
+	ds, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	cfg := core.DefaultConfig()
+	cfg.Threads, cfg.BatchSize, cfg.Strategy = 2, 64, strategy
+	rng := sample.NewRNG(sample.Mix(cfg.Seed, salt))
+	s, err := core.New(ds, cfg, uring.BackendSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.RunEpoch(exp.UniformTargets(&rng, ds.NumNodes(), 256), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.IO
+}
+
+// TestBenchDeviceBytesCountGaps: the device_bytes that -bench-json and
+// -bench-strategy write is IOStats.DeviceBytes — the picked bytes plus
+// the gap bytes page-coalesced gather reads fetch between picks — not
+// the picked bytes alone.
+func TestBenchDeviceBytesCountGaps(t *testing.T) {
+	dir := testGraphDir(t)
+	tmp := t.TempDir()
+	epochPath := filepath.Join(tmp, "BENCH_epoch.json")
+	stratPath := filepath.Join(tmp, "BENCH_strategy.json")
+	for _, extra := range [][]string{
+		{"-bench-json", epochPath},
+		{"-bench-strategy", stratPath, "-bench-strategy-quick"},
+	} {
+		args := append([]string{"-data", dir, "-backend", "sim", "-targets", "256", "-batch", "64", "-threads", "2"}, extra...)
+		if err := run(args, io.Discard); err != nil {
+			t.Fatalf("run %v: %v", extra, err)
+		}
+	}
+	var ef benchFile
+	var sf struct {
+		Points []struct {
+			Strategy    string `json:"strategy"`
+			DeviceBytes int64  `json:"device_bytes"`
+		} `json:"points"`
+	}
+	for path, v := range map[string]any{epochPath: &ef, stratPath: &sf} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: invalid JSON: %v", path, err)
+		}
+	}
+
+	want := epochIO(t, dir, 0xe90c, "")
+	if want.GapBytes == 0 {
+		t.Fatal("reference epoch fetched no gap bytes; the test graph no longer exercises gather reads")
+	}
+	if got := ef.Points[0].DeviceBytes; got != want.DeviceBytes() {
+		t.Fatalf("BENCH_epoch cache-off device_bytes = %d, want %d (%d picked + %d gap)",
+			got, want.DeviceBytes(), want.BytesRead, want.GapBytes)
+	}
+	if len(sf.Points) == 0 {
+		t.Fatal("strategy sweep wrote no points")
+	}
+	for _, p := range sf.Points {
+		if w := epochIO(t, dir, 0x57a7, p.Strategy).DeviceBytes(); p.DeviceBytes != w {
+			t.Fatalf("BENCH_strategy %s device_bytes = %d, want %d", p.Strategy, p.DeviceBytes, w)
+		}
+	}
+}
+
 // TestRunRejectsBadFlags: flag-level errors surface as errors (non-zero
 // exit), not silent acceptance.
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -158,7 +239,7 @@ func TestRunProbe(t *testing.T) {
 		t.Fatalf("run -probe: %v", err)
 	}
 	out := sb.String()
-	for _, want := range []string{"io_uring capabilities:", "fixed buffers:", "registered files:", "sqpoll:"} {
+	for _, want := range []string{"io_uring capabilities:", "fixed buffers:", "registered files:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("probe output missing %q:\n%s", want, out)
 		}
@@ -174,8 +255,7 @@ func TestRunKnobFlags(t *testing.T) {
 	dir := testGraphDir(t)
 	err := run([]string{
 		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-uring-fixed", "-uring-regfiles", "-uring-sqpoll",
-		"-odirect", "-depth", "8",
+		"-threads", "2", "-uring-fixed", "-uring-regfiles", "-odirect",
 	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run with knob flags: %v", err)

@@ -18,9 +18,10 @@ import (
 var DefaultFanouts = []int{20, 15, 10}
 
 // DefaultArenaBytes is the per-worker registered arena size when
-// Config.FixedBuffers is on and ArenaBytes is 0: big enough that every
-// layer of the default fanout/batch fits, small enough that 8 workers
-// cost tens of megabytes.
+// Config.FixedBuffers is on: big enough that every layer of the default
+// fanout/batch fits, small enough that 8 workers cost tens of
+// megabytes. Layers whose buffers outgrow it fall back to plain reads
+// for that layer — correctness never depends on the arena size.
 const DefaultArenaBytes = 8 << 20
 
 // Config controls the engine. The ablation switches (AsyncPipeline,
@@ -74,22 +75,6 @@ type Config struct {
 	// per-SQE fd lookup. Real backend only; accepted and ignored by
 	// pool/sim, downgraded with a log line when the kernel refuses.
 	RegisteredFiles bool
-	// SQPoll creates each worker's ring with IORING_SETUP_SQPOLL: a
-	// kernel thread consumes the SQ and steady-state submission costs
-	// zero syscalls. Real backend only; accepted and ignored by pool/sim,
-	// downgraded with a log line when the kernel refuses.
-	SQPoll bool
-	// Depth caps each worker's in-flight read requests. 0 (default)
-	// bounds staging only by the ring's own SQ/CQ capacity — the deepest
-	// pipeline. A positive value trades pipeline depth for memory (the
-	// O_DIRECT path allocates aligned scratch per in-flight request) and
-	// latency.
-	Depth int
-	// ArenaBytes sizes each worker's registered workspace arena when
-	// FixedBuffers is on (0 selects DefaultArenaBytes). Layers whose
-	// buffers outgrow the arena fall back to plain reads for that layer —
-	// correctness never depends on the arena being big enough.
-	ArenaBytes int64
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
 	// memctl) for the hot-neighbor cache: the complete neighbor lists of
 	// the highest-degree nodes, pinned at sampler construction and
@@ -160,12 +145,6 @@ func (c *Config) validate() error {
 	}
 	if !ValidStrategy(c.Strategy) {
 		return fmt.Errorf("core: unknown sampling strategy %q (known: %v)", c.Strategy, StrategyNames())
-	}
-	if c.Depth < 0 {
-		return fmt.Errorf("core: depth %d must be non-negative", c.Depth)
-	}
-	if c.ArenaBytes < 0 {
-		return fmt.Errorf("core: arena bytes %d must be non-negative", c.ArenaBytes)
 	}
 	if c.CacheBudgetBytes < 0 {
 		return fmt.Errorf("core: cache budget %d must be non-negative", c.CacheBudgetBytes)

@@ -146,10 +146,9 @@ func TestFeatureMatrixConformance(t *testing.T) {
 	knobs := []struct {
 		name  string
 		fixed bool
-		depth int
 	}{
-		{"plain", false, 0},
-		{"fixed-depth2", true, 2},
+		{"plain", false},
+		{"fixed", true},
 	}
 
 	for _, be := range backends {
@@ -163,7 +162,6 @@ func TestFeatureMatrixConformance(t *testing.T) {
 							cfg.Threads = threads
 							cfg.FeatureCacheBudgetBytes = budget
 							cfg.FixedBuffers = kn.fixed
-							cfg.Depth = kn.depth
 							cfg.WrapRing = wr.wrap
 							got := epochFeaturePayload(t, dir, cfg, be, targets)
 							assertFeatPayloadsEqual(t, ref, got, name)

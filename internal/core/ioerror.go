@@ -145,8 +145,18 @@ type IOStats struct {
 	// what was measured. OR-merged by Add.
 	ActiveFixed    bool
 	ActiveRegFiles bool
-	ActiveSQPoll   bool
 	ActiveODirect  bool
+	// ActiveSQPoll is always false: the engine has no SQPOLL path. The
+	// field stays only because the perfbench harness still reads it;
+	// delete it with that read at the next benchmark change.
+	ActiveSQPoll bool
+}
+
+// DeviceBytes is the worker's device traffic: the picked edge and
+// feature bytes plus the gap bytes gather reads fetched between picks
+// and the O_DIRECT alignment slack.
+func (s IOStats) DeviceBytes() int64 {
+	return s.BytesRead + s.FeatBytesRead + s.GapBytes + s.AlignSlackBytes
 }
 
 // Add accumulates o's counters into s. The epoch runner uses it to
@@ -174,7 +184,6 @@ func (s *IOStats) Add(o IOStats) {
 	s.WaitSyscalls += o.WaitSyscalls
 	s.ActiveFixed = s.ActiveFixed || o.ActiveFixed
 	s.ActiveRegFiles = s.ActiveRegFiles || o.ActiveRegFiles
-	s.ActiveSQPoll = s.ActiveSQPoll || o.ActiveSQPoll
 	s.ActiveODirect = s.ActiveODirect || o.ActiveODirect
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -12,8 +13,7 @@ import (
 )
 
 // Knob-combination conformance: every fast-path knob — fixed buffers,
-// registered files, SQPOLL, O_DIRECT, bounded depth — is a pure
-// performance lever. The sampled byte stream must be identical to the
+// registered files, O_DIRECT — is a pure performance lever. The sampled byte stream must be identical to the
 // plain path for EVERY combination, on every backend that runs here.
 // Combinations whose kernel feature isn't granted still run: resolveKnobs
 // downgrades them (pool/sim ignore real-only knobs by design), and the
@@ -62,18 +62,16 @@ func TestKnobMatrixConformance(t *testing.T) {
 
 	for _, be := range backends {
 		for _, direct := range []bool{false, true} {
-			for mask := 0; mask < 8; mask++ {
+			for mask := 0; mask < 4; mask++ {
 				fixed := mask&1 != 0
 				regFiles := mask&2 != 0
-				sqpoll := mask&4 != 0
-				name := fmt.Sprintf("%s/odirect=%v/fixed=%v/regfiles=%v/sqpoll=%v",
-					be, direct, fixed, regFiles, sqpoll)
+				name := fmt.Sprintf("%s/odirect=%v/fixed=%v/regfiles=%v",
+					be, direct, fixed, regFiles)
 				t.Run(name, func(t *testing.T) {
 					ds := openDS(t, dir, direct)
 					cfg := base
 					cfg.FixedBuffers = fixed
 					cfg.RegisteredFiles = regFiles
-					cfg.SQPoll = sqpoll
 					s, err := New(ds, cfg, be)
 					if err != nil {
 						t.Fatal(err)
@@ -93,18 +91,17 @@ func TestKnobMatrixConformance(t *testing.T) {
 					// requested knobs intersected with backend + kernel
 					// grants — never more, never less.
 					st := w.IOStats()
-					wantFixed, wantReg, wantSQ := fixed, false, false
+					wantFixed, wantReg := fixed, false
 					if be == uring.BackendIOURing {
 						wantFixed = fixed && caps.ReadFixed
 						wantReg = regFiles && caps.RegisteredFiles
-						wantSQ = sqpoll && caps.SQPoll
 					}
 					wantDirect := ds.DirectAlign() > 0
 					if st.ActiveFixed != wantFixed || st.ActiveRegFiles != wantReg ||
-						st.ActiveSQPoll != wantSQ || st.ActiveODirect != wantDirect {
-						t.Fatalf("active knobs (fixed=%v reg=%v sqpoll=%v odirect=%v), want (%v %v %v %v)",
-							st.ActiveFixed, st.ActiveRegFiles, st.ActiveSQPoll, st.ActiveODirect,
-							wantFixed, wantReg, wantSQ, wantDirect)
+						st.ActiveODirect != wantDirect {
+						t.Fatalf("active knobs (fixed=%v reg=%v odirect=%v), want (%v %v %v)",
+							st.ActiveFixed, st.ActiveRegFiles, st.ActiveODirect,
+							wantFixed, wantReg, wantDirect)
 					}
 					if st.ActiveFixed && st.FixedReads == 0 {
 						t.Fatal("fixed buffers active but zero reads went through them")
@@ -130,10 +127,12 @@ func TestKnobMatrixConformance(t *testing.T) {
 	}
 }
 
-// TestDepthBoundedConformance: capping in-flight depth reshapes the
-// pipeline (and the O_DIRECT scratch pool) but never the bytes. Depth 1
-// degenerates to one-read-at-a-time and must still finish and agree.
-func TestDepthBoundedConformance(t *testing.T) {
+// TestRingSizeBoundedConformance: the ring size is the only bound on a
+// worker's in-flight reads. Shrinking it reshapes the pipeline (more
+// groups, more backpressure, fewer reads per submit) but never the
+// bytes. RingSize 1 degenerates to one read at a time and must still
+// finish and agree; 3 is not a power of two, which the kernel rounds up.
+func TestRingSizeBoundedConformance(t *testing.T) {
 	dir := testDatasetDir(t)
 	base := DefaultConfig()
 	base.Seed = 42
@@ -146,15 +145,36 @@ func TestDepthBoundedConformance(t *testing.T) {
 		backends = append(backends, uring.BackendIOURing)
 	}
 	for _, be := range backends {
-		for _, depth := range []int{1, 3, 8} {
+		for _, size := range []int{1, 3, 8} {
 			for _, direct := range []bool{false, true} {
-				name := fmt.Sprintf("%s/depth=%d/odirect=%v", be, depth, direct)
+				name := fmt.Sprintf("%s/ring=%d/odirect=%v", be, size, direct)
 				t.Run(name, func(t *testing.T) {
 					cfg := base
-					cfg.Depth = depth
-					cfg.FixedBuffers = true // deepest interaction: fixed chunks + depth cap
-					got := sampleOnce(t, openDS(t, dir, direct), cfg, be, targets)
+					cfg.RingSize = size
+					cfg.FixedBuffers = true // deepest interaction: fixed chunks + tiny ring
+					s, err := New(openDS(t, dir, direct), cfg, be)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := s.NewWorker(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close()
+					got, err := w.SampleBatch(targets)
+					if err != nil {
+						t.Fatal(err)
+					}
 					assertBatchesEqual(t, ref, got, name)
+					// No submit can carry more reads than one ring holds.
+					st := w.IOStats()
+					if st.SubmitSyscalls == 0 {
+						t.Fatal("worker recorded zero submit syscalls")
+					}
+					if limit := int64(w.edge.ring.Entries()); st.Reads > limit*st.SubmitSyscalls {
+						t.Fatalf("%d reads in %d submits exceed %d per submit",
+							st.Reads, st.SubmitSyscalls, limit)
+					}
 				})
 			}
 		}
@@ -301,17 +321,35 @@ func TestODirectTinyFileStraddle(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsNegativeKnobs: validation for the new knobs.
+// TestConfigRejectsNegativeKnobs: every size and budget knob that is
+// left is validated by name; a zero ring is as invalid as a negative one.
 func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Depth = -1
-	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
-		t.Fatal("negative Depth accepted")
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"ring=0", func(c *Config) { c.RingSize = 0 }, "ring size"},
+		{"ring=-1", func(c *Config) { c.RingSize = -1 }, "ring size"},
+		{"batch=0", func(c *Config) { c.BatchSize = 0 }, "batch size"},
+		{"threads=0", func(c *Config) { c.Threads = 0 }, "thread count"},
+		{"fanout=0", func(c *Config) { c.Fanouts = []int{10, 0} }, "fanout[1]"},
+		{"no-fanouts", func(c *Config) { c.Fanouts = nil }, "fanout layer"},
+		{"cache=-1", func(c *Config) { c.CacheBudgetBytes = -1 }, "cache budget"},
+		{"featcache=-1", func(c *Config) { c.FeatureCacheBudgetBytes = -1 }, "feature cache budget"},
 	}
-	cfg = DefaultConfig()
-	cfg.ArenaBytes = -1
-	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
-		t.Fatal("negative ArenaBytes accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.set(&cfg)
+			_, err := New(ds, cfg, uring.BackendSim)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %q, want it to name %q", err, c.want)
+			}
+		})
 	}
 }

@@ -41,11 +41,10 @@ type Sampler struct {
 
 // activeKnobs is the resolved fast-path feature set. fixed means the
 // PrepReadFixed path runs (kernel-registered on the real backend,
-// emulated on pool/sim); regFiles and sqpoll are real-backend-only.
+// emulated on pool/sim); regFiles is real-backend-only.
 type activeKnobs struct {
 	fixed    bool
 	regFiles bool
-	sqpoll   bool
 }
 
 // resolveKnobs intersects the requested knobs with what the backend and
@@ -57,20 +56,16 @@ func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) activ
 		caps := uring.Probe()
 		a.fixed = cfg.FixedBuffers && caps.ReadFixed
 		a.regFiles = cfg.RegisteredFiles && caps.RegisteredFiles
-		a.sqpoll = cfg.SQPoll && caps.SQPoll
 		if cfg.FixedBuffers && !caps.ReadFixed {
 			log.Printf("core: fixed buffers requested but unavailable (caps %s); using plain reads", caps)
 		}
 		if cfg.RegisteredFiles && !caps.RegisteredFiles {
 			log.Printf("core: registered files requested but unavailable (caps %s); using raw fds", caps)
 		}
-		if cfg.SQPoll && !caps.SQPoll {
-			log.Printf("core: SQPOLL requested but unavailable (caps %s); submitting via io_uring_enter", caps)
-		}
 	} else {
 		// Pool/sim emulate fixed-buffer validation, so that code path is
-		// genuinely exercised; registered files and SQPOLL have no
-		// portable equivalent and stay off (documented accept-and-ignore).
+		// genuinely exercised; registered files have no portable
+		// equivalent and stay off (documented accept-and-ignore).
 		a.fixed = cfg.FixedBuffers
 	}
 	if err := ds.DirectFallback(); err != nil {
@@ -173,7 +168,6 @@ type Worker struct {
 	broken bool
 
 	// Fast-path state, fixed at construction.
-	depth      int    // max in-flight requests per rio (from Config.Depth; 0 = ring-bounded)
 	arena      []byte // registered fixed-buffer arena (nil when fixed is off)
 	stageArena []byte // the arena prefix stage buffers may use (the rest backs scratch slots)
 
@@ -288,19 +282,14 @@ type ioReq struct {
 // independent streams; equal (Seed, id) pairs sample bit-identically.
 func (s *Sampler) NewWorker(id int) (*Worker, error) {
 	w := &Worker{
-		s:     s,
-		id:    id,
-		rng:   sample.NewRNG(sample.Mix(s.cfg.Seed, uint64(id))),
-		depth: s.cfg.Depth,
+		s:   s,
+		id:  id,
+		rng: sample.NewRNG(sample.Mix(s.cfg.Seed, uint64(id))),
 	}
 	if s.active.fixed {
-		arenaBytes := s.cfg.ArenaBytes
-		if arenaBytes == 0 {
-			arenaBytes = DefaultArenaBytes
-		}
 		// 4096-aligned so arena-backed slices satisfy any O_DIRECT
 		// granularity the dataset probe settled on.
-		w.arena = storage.AlignedSlice(int(arenaBytes), 4096)
+		w.arena = storage.AlignedSlice(DefaultArenaBytes, 4096)
 	}
 	w.initSlots()
 	ring, err := w.openRing(s.ds.File())
@@ -315,7 +304,6 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 	}
 	w.stats.ActiveFixed = s.active.fixed
 	w.stats.ActiveRegFiles = s.active.regFiles
-	w.stats.ActiveSQPoll = s.active.sqpoll
 	w.stats.ActiveODirect = w.edge.plan.align > 0
 	return w, nil
 }
@@ -343,7 +331,7 @@ func (w *Worker) initSlots() {
 }
 
 // openRing builds one worker ring over f with the sampler's resolved
-// options (arena registration, registered file, SQPOLL) and applies the
+// options (arena registration, registered file) and applies the
 // WrapRing hook. Used for the edge ring at construction and the feature
 // ring on first feature fetch.
 func (w *Worker) openRing(f *os.File) (uring.Ring, error) {
@@ -351,7 +339,6 @@ func (w *Worker) openRing(f *os.File) (uring.Ring, error) {
 	opts := uring.Options{
 		Entries:      s.cfg.RingSize,
 		RegisterFile: s.active.regFiles,
-		SQPoll:       s.active.sqpoll,
 	}
 	if w.arena != nil {
 		opts.FixedBuffers = [][]byte{w.arena}
@@ -836,10 +823,10 @@ func (r *rio) drain() {
 // processing), and r.ringFailed records whether the ring itself failed
 // — the state quarantine needs to clean up safely.
 //
-// Submission is deep by default: each pass stages every request the
-// ring (and Config.Depth, when set, and the scratch pool) will take —
-// fresh runs and retries alike — and publishes them with ONE Submit, so
-// a full pipeline costs one io_uring_enter for many reads. On the
+// Submission is deep: each pass stages every request the ring and the
+// scratch pool will take — fresh runs and retries alike — and
+// publishes them with ONE Submit, so a full pipeline costs one
+// io_uring_enter for many reads. On the
 // completion side, while more work is waiting to be staged the pass
 // reaps up to half the in-flight window in one blocking Wait
 // (reap-many) instead of waking per completion; once everything is
@@ -859,7 +846,7 @@ func (r *rio) issueReads(buf []byte) error {
 	for completed < len(runs) {
 		staged := 0
 		// Resubmissions first: their buffer ranges block stage decode.
-		for len(r.retryQ) > 0 && r.withinDepth(staged) {
+		for len(r.retryQ) > 0 {
 			if !r.prepReq(r.retryQ[0], buf) {
 				break
 			}
@@ -867,7 +854,7 @@ func (r *rio) issueReads(buf []byte) error {
 			staged++
 		}
 		if len(r.retryQ) == 0 {
-			for next < len(runs) && r.withinDepth(staged) {
+			for next < len(runs) {
 				if !r.stageNew(next, buf) {
 					break
 				}
@@ -963,12 +950,6 @@ func (r *rio) issueReads(buf []byte) error {
 		}
 	}
 	return nil
-}
-
-// withinDepth reports whether one more request may be staged under the
-// configured in-flight cap.
-func (r *rio) withinDepth(staged int) bool {
-	return r.w.depth <= 0 || r.inflight+staged < r.w.depth
 }
 
 // stageNew initializes request id from its run and stages it. A direct

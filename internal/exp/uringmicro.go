@@ -16,6 +16,7 @@ import (
 // dilutes them at the epoch level.
 type UringMicroPoint struct {
 	// Name is "<combo>/depth<D>"; Active reflects capability downgrades.
+	// Depth is the reads staged per submission.
 	Name   string     `json:"name"`
 	Knobs  UringKnobs `json:"knobs"`
 	Active string     `json:"active"`
@@ -29,35 +30,43 @@ type UringMicroPoint struct {
 	SyscallsPerRead float64 `json:"syscalls_per_read"`
 }
 
+// UringMicroCombo is one rung of the microbenchmark ladder: a knob
+// combination and the number of reads staged per submission — the
+// paper's submission-batching depth, not a cap on the engine.
+type UringMicroCombo struct {
+	UringKnobs
+	Depth int
+}
+
 // DefaultUringMicroCombos is the microbenchmark ladder: submission
 // depth 1 (one syscall round-trip per read) up through deep batching,
 // then the knob stack at full depth. Quick keeps the plain-vs-fixed
 // pair at full depth.
-func DefaultUringMicroCombos(quick bool) []UringKnobs {
+func DefaultUringMicroCombos(quick bool) []UringMicroCombo {
+	const full = 256
 	if quick {
-		return []UringKnobs{{Depth: 256}, {Fixed: true, Depth: 256}}
+		return []UringMicroCombo{{Depth: full}, {UringKnobs{Fixed: true}, full}}
 	}
-	return []UringKnobs{
+	return []UringMicroCombo{
 		{Depth: 1},
 		{Depth: 64},
-		{Depth: 256},
-		{Fixed: true, Depth: 256},
-		{Fixed: true, RegFiles: true, Depth: 256},
-		{Fixed: true, RegFiles: true, SQPoll: true, Depth: 256},
-		{ODirect: true, Depth: 256},
-		{Fixed: true, ODirect: true, Depth: 256},
+		{Depth: full},
+		{UringKnobs{Fixed: true}, full},
+		{UringKnobs{Fixed: true, RegFiles: true}, full},
+		{UringKnobs{ODirect: true}, full},
+		{UringKnobs{Fixed: true, ODirect: true}, full},
 	}
 }
 
 // UringMicro measures raw batched-read throughput through the ring for
 // each knob combination: totalReads reads of readBytes each from
 // deterministic offsets in the dataset's edge file, staged
-// combo.Depth-deep per submission. Each combination runs reps times and
-// reports its best repetition. Real-backend-only knobs are intersected
+// combo.Depth-deep per submission (a non-positive Depth selects 256).
+// Each combination runs reps times and reports its best repetition. Real-backend-only knobs are intersected
 // with uring.Probe() (the Active field records what ran); pool/sim run
 // their documented emulations. O_DIRECT combinations reopen the file
 // with the probed alignment and align offsets and buffers accordingly.
-func UringMicro(dir string, backend uring.Backend, combos []UringKnobs, readBytes, totalReads, reps int, seed uint64) ([]UringMicroPoint, error) {
+func UringMicro(dir string, backend uring.Backend, combos []UringMicroCombo, readBytes, totalReads, reps int, seed uint64) ([]UringMicroPoint, error) {
 	if readBytes <= 0 || totalReads <= 0 {
 		return nil, fmt.Errorf("exp: uring micro needs positive read size and count")
 	}
@@ -70,8 +79,9 @@ func UringMicro(dir string, backend uring.Backend, combos []UringKnobs, readByte
 	}
 
 	out := make([]UringMicroPoint, 0, len(combos))
-	for _, k := range combos {
-		depth := k.Depth
+	for _, c := range combos {
+		k := c.UringKnobs
+		depth := c.Depth
 		if depth <= 0 {
 			depth = 256
 		}
@@ -79,10 +89,8 @@ func UringMicro(dir string, backend uring.Backend, combos []UringKnobs, readByte
 		if backend == uring.BackendIOURing {
 			granted.Fixed = k.Fixed && caps.ReadFixed
 			granted.RegFiles = k.RegFiles && caps.RegisteredFiles
-			granted.SQPoll = k.SQPoll && caps.SQPoll
 		} else {
 			granted.RegFiles = false
-			granted.SQPoll = false
 		}
 
 		ds, err := storage.OpenWith(dir, storage.OpenOptions{Direct: k.ODirect})
@@ -100,7 +108,6 @@ func UringMicro(dir string, backend uring.Backend, combos []UringKnobs, readByte
 		opts := uring.Options{
 			Entries:      depth,
 			RegisterFile: granted.RegFiles,
-			SQPoll:       granted.SQPoll,
 		}
 		if granted.Fixed {
 			opts.FixedBuffers = [][]byte{arena}
@@ -125,14 +132,10 @@ func UringMicro(dir string, backend uring.Backend, combos []UringKnobs, readByte
 		}
 		ds.Close()
 
-		nameKnobs := k
-		nameKnobs.Depth = 0
-		best.Name = fmt.Sprintf("%s/depth%d", nameKnobs.Name(), depth)
+		best.Name = fmt.Sprintf("%s/depth%d", k.Name(), depth)
 		best.Knobs = k
-		activeKnobs := granted
-		activeKnobs.Depth = 0
-		activeKnobs.ODirect = align > 0
-		best.Active = activeKnobs.Name()
+		granted.ODirect = align > 0
+		best.Active = granted.Name()
 		out = append(out, *best)
 	}
 	return out, nil
@@ -155,7 +158,7 @@ func microRun(r uring.Ring, k UringKnobs, depth, readBytes int, totalReads int, 
 	for done < totalReads {
 		staged := 0
 		for issued < totalReads && staged < depth {
-			off := int64(rng.Uint32n(uint32(maxOff + 1)))
+			off := int64(rng.Uint64n(uint64(maxOff + 1)))
 			if align > 0 {
 				off = storage.AlignDown(off, align)
 			}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ringsampler/internal/storage"
@@ -42,10 +44,8 @@ func TestUringMicro(t *testing.T) {
 		if containsKnob(pt.Active, "fixed") != wantFixed {
 			t.Fatalf("%s: active %q, fixed requested %v", pt.Name, pt.Active, wantFixed)
 		}
-		for _, banned := range []string{"regfiles", "sqpoll"} {
-			if containsKnob(pt.Active, banned) {
-				t.Fatalf("%s: pool backend claims active %q", pt.Name, pt.Active)
-			}
+		if containsKnob(pt.Active, "regfiles") {
+			t.Fatalf("%s: pool backend claims active %q", pt.Name, pt.Active)
 		}
 	}
 	if points[0].EntriesPerSec != points[0].ReadsPerSec*float64(512/storage.EntryBytes) {
@@ -66,5 +66,61 @@ func TestUringMicroGuards(t *testing.T) {
 	}
 	if len(DefaultUringMicroCombos(false)) < 6 {
 		t.Fatalf("full micro ladder too short: %v", DefaultUringMicroCombos(false))
+	}
+}
+
+// offsetRing records the offset of every read staged through it.
+type offsetRing struct {
+	uring.Ring
+	offs []int64
+}
+
+func (r *offsetRing) PrepRead(id uint64, off int64, buf []byte) bool {
+	if !r.Ring.PrepRead(id, off, buf) {
+		return false
+	}
+	r.offs = append(r.offs, off)
+	return true
+}
+
+// TestUringMicroOffsetsSpanLargeFiles: the micro's read offsets cover
+// the whole file, not just its first 4 GiB. The file is sparse (no data
+// written), so the sim ring reads zeros from anywhere in it.
+func TestUringMicroOffsetsSpanLargeFiles(t *testing.T) {
+	const size = 5 << 30
+	path := filepath.Join(t.TempDir(), "sparse")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := os.Truncate(path, size); err != nil {
+		t.Skipf("cannot create a %d-byte sparse file here: %v", int64(size), err)
+	}
+	inner, err := uring.New(uring.BackendSim, f, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &offsetRing{Ring: inner}
+	defer r.Close()
+	const readBytes, reads = 4096, 256
+	arena := make([]byte, 64*readBytes)
+	if _, err := microRun(r, UringKnobs{}, 64, readBytes, reads, size, 0, arena, 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.offs) != reads {
+		t.Fatalf("staged %d reads, want %d", len(r.offs), reads)
+	}
+	var high int
+	for _, off := range r.offs {
+		if off < 0 || off > size-readBytes {
+			t.Fatalf("offset %d outside [0, %d]", off, int64(size-readBytes))
+		}
+		if off >= 1<<32 {
+			high++
+		}
+	}
+	if high == 0 {
+		t.Fatalf("none of %d offsets lands past 4 GiB in a %d-byte file", reads, int64(size))
 	}
 }

@@ -15,13 +15,11 @@ import (
 type UringKnobs struct {
 	Fixed    bool `json:"fixed"`
 	RegFiles bool `json:"reg_files"`
-	SQPoll   bool `json:"sqpoll"`
 	ODirect  bool `json:"odirect"`
-	Depth    int  `json:"depth"`
 }
 
-// Name renders the combination compactly ("plain",
-// "fixed+sqpoll+odirect", "fixed/depth64", ...).
+// Name renders the combination compactly ("plain", "fixed+odirect",
+// ...).
 func (k UringKnobs) Name() string {
 	var parts []string
 	if k.Fixed {
@@ -30,36 +28,7 @@ func (k UringKnobs) Name() string {
 	if k.RegFiles {
 		parts = append(parts, "regfiles")
 	}
-	if k.SQPoll {
-		parts = append(parts, "sqpoll")
-	}
 	if k.ODirect {
-		parts = append(parts, "odirect")
-	}
-	name := "plain"
-	if len(parts) > 0 {
-		name = strings.Join(parts, "+")
-	}
-	if k.Depth > 0 {
-		name = fmt.Sprintf("%s/depth%d", name, k.Depth)
-	}
-	return name
-}
-
-// activeString renders what actually ran after capability downgrades,
-// from the stats flags rather than the request.
-func activeString(io core.IOStats) string {
-	var parts []string
-	if io.ActiveFixed {
-		parts = append(parts, "fixed")
-	}
-	if io.ActiveRegFiles {
-		parts = append(parts, "regfiles")
-	}
-	if io.ActiveSQPoll {
-		parts = append(parts, "sqpoll")
-	}
-	if io.ActiveODirect {
 		parts = append(parts, "odirect")
 	}
 	if len(parts) == 0 {
@@ -88,9 +57,9 @@ type UringPoint struct {
 	WaitSyscalls     int64   `json:"wait_syscalls"`
 	SyscallsPerBatch float64 `json:"syscalls_per_batch"`
 
-	// DeviceBytes is BytesRead + GapBytes + AlignSlackBytes: what
-	// actually crossed the storage boundary, including the bytes gather
-	// reads fetch between picks and O_DIRECT alignment overhead.
+	// DeviceBytes is core.IOStats.DeviceBytes: what actually crossed
+	// the storage boundary, including the bytes gather reads fetch
+	// between picks and O_DIRECT alignment overhead.
 	DeviceBytes int64 `json:"device_bytes"`
 	FixedReads  int64 `json:"fixed_reads"`
 
@@ -98,8 +67,8 @@ type UringPoint struct {
 }
 
 // DefaultUringCombos is the full knob-ablation ladder: each knob alone
-// against plain, the cumulative stack, and a bounded-depth variant of
-// the stack. Quick shrinks it to the plain-vs-fixed smoke pair.
+// against plain, then the cumulative stack. Quick shrinks it to the
+// plain-vs-fixed smoke pair.
 func DefaultUringCombos(quick bool) []UringKnobs {
 	if quick {
 		return []UringKnobs{{}, {Fixed: true}}
@@ -108,12 +77,9 @@ func DefaultUringCombos(quick bool) []UringKnobs {
 		{},
 		{Fixed: true},
 		{RegFiles: true},
-		{SQPoll: true},
 		{ODirect: true},
 		{Fixed: true, RegFiles: true},
-		{Fixed: true, RegFiles: true, SQPoll: true},
-		{Fixed: true, RegFiles: true, SQPoll: true, ODirect: true},
-		{Fixed: true, RegFiles: true, SQPoll: true, ODirect: true, Depth: 64},
+		{Fixed: true, RegFiles: true, ODirect: true},
 	}
 }
 
@@ -153,8 +119,6 @@ func UringSweep(dir string, o Options, backend uring.Backend, combos []UringKnob
 		cfg.Seed = seed
 		cfg.FixedBuffers = k.Fixed
 		cfg.RegisteredFiles = k.RegFiles
-		cfg.SQPoll = k.SQPoll
-		cfg.Depth = k.Depth
 		if o.Threads > 0 {
 			cfg.Threads = o.Threads
 		}
@@ -193,16 +157,19 @@ func UringSweep(dir string, o Options, backend uring.Backend, combos []UringKnob
 		}
 		ds.Close()
 
+		// What actually ran after capability downgrades, from the stats
+		// flags rather than the request.
+		ran := UringKnobs{Fixed: best.IO.ActiveFixed, RegFiles: best.IO.ActiveRegFiles, ODirect: best.IO.ActiveODirect}
 		p := UringPoint{
 			Combo:          k.Name(),
 			Knobs:          k,
-			Active:         activeString(best.IO),
+			Active:         ran.Name(),
 			EntriesPerSec:  best.EntriesPerSec,
 			BytesPerSec:    best.BytesPerSec,
 			Batches:        best.Batches,
 			SubmitSyscalls: best.IO.SubmitSyscalls,
 			WaitSyscalls:   best.IO.WaitSyscalls,
-			DeviceBytes:    best.IO.BytesRead + best.IO.GapBytes + best.IO.AlignSlackBytes,
+			DeviceBytes:    best.IO.DeviceBytes(),
 			FixedReads:     best.IO.FixedReads,
 			Digest:         digest,
 		}

@@ -10,7 +10,7 @@ import (
 // dataset through the pool backend — every combination must reproduce
 // the plain digest (the sweep enforces it), report positive throughput,
 // and be honest in its Active string about which knobs actually ran
-// (pool emulates fixed buffers, ignores regfiles/sqpoll, and O_DIRECT
+// (pool emulates fixed buffers, ignores regfiles, and O_DIRECT
 // depends on the filesystem).
 func TestUringSweepAblation(t *testing.T) {
 	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
@@ -48,10 +48,8 @@ func TestUringSweepAblation(t *testing.T) {
 			t.Fatalf("%s: fixed off but %d fixed reads", pt.Combo, pt.FixedReads)
 		}
 		// Pool never runs the real-only knobs, whatever was requested.
-		for _, banned := range []string{"regfiles", "sqpoll"} {
-			if containsKnob(pt.Active, banned) {
-				t.Fatalf("%s: pool backend claims active %q", pt.Combo, pt.Active)
-			}
+		if containsKnob(pt.Active, "regfiles") {
+			t.Fatalf("%s: pool backend claims active %q", pt.Combo, pt.Active)
 		}
 		if containsKnob(pt.Active, "odirect") && pt.DeviceBytes <= points[0].DeviceBytes {
 			t.Fatalf("%s: O_DIRECT active but device bytes %d carry no alignment slack over plain's %d",

@@ -117,3 +117,30 @@ func FuzzShardLayerRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShardFeaturesRequest feeds arbitrary bodies, shard ranges and
+// feature-file presence through the POST /v1/shard/features admission
+// check. Whatever it accepts must be servable: at least one node, every
+// node inside the shard range [lo, lo+n), and a dataset with features.
+// The seed corpus is testdata/fuzz/FuzzShardFeaturesRequest.
+func FuzzShardFeaturesRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, lo, n uint32, hasFeatures bool) {
+		hi := int64(lo) + int64(n)
+		r := httptest.NewRequest("POST", "/v1/shard/features", bytes.NewReader(body))
+		req, err := validateFeatures(r, int64(lo), hi, hasFeatures)
+		if err != nil {
+			return
+		}
+		if !hasFeatures {
+			t.Fatal("accepted a features request on a dataset without features")
+		}
+		if len(req.Nodes) == 0 {
+			t.Fatal("accepted an empty node list")
+		}
+		for i, v := range req.Nodes {
+			if int64(v) < int64(lo) || int64(v) >= hi {
+				t.Fatalf("accepted nodes[%d] = %d outside [%d,%d)", i, v, lo, hi)
+			}
+		}
+	})
+}

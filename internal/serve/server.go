@@ -548,6 +548,29 @@ func (c *Config) validateLayer(r *http.Request, numNodes int64) (shard.LayerRequ
 	return req, state, nil
 }
 
+// validateFeatures is the admission check of POST /v1/shard/features:
+// it decodes the body and rejects requests the shard cannot serve — no
+// feature file, no nodes, or a node outside the shard's range [lo, hi)
+// — returning the message for a 400.
+func validateFeatures(r *http.Request, lo, hi int64, hasFeatures bool) (shard.FeaturesRequest, error) {
+	var req shard.FeaturesRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		return req, fmt.Errorf("malformed JSON: %v", err)
+	}
+	if !hasFeatures {
+		return req, fmt.Errorf("shard has no feature file")
+	}
+	if len(req.Nodes) == 0 {
+		return req, fmt.Errorf("features request needs at least one node")
+	}
+	for i, v := range req.Nodes {
+		if int64(v) < lo || int64(v) >= hi {
+			return req, fmt.Errorf("nodes[%d] = %d outside this shard's range [%d,%d)", i, v, lo, hi)
+		}
+	}
+	return req, nil
+}
+
 // buildResponse assembles the wire response from ordered batches.
 func buildResponse(batches []*core.Batch, t0 time.Time) sampleResponse {
 	resp := sampleResponse{Batches: make([]batchJSON, len(batches))}
@@ -720,26 +743,11 @@ func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return
 	}
-	var req shard.FeaturesRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
-		return
-	}
-	if !s.ds.HasFeatures() {
-		s.badRequest(w, "shard has no feature file")
-		return
-	}
-	if len(req.Nodes) == 0 {
-		s.badRequest(w, "features request needs at least one node")
-		return
-	}
 	lo, hi := s.ds.ShardRange()
-	for i, v := range req.Nodes {
-		if int64(v) < lo || int64(v) >= hi {
-			s.badRequest(w, fmt.Sprintf("nodes[%d] = %d outside this shard's range [%d,%d)", i, v, lo, hi))
-			return
-		}
+	req, err := validateFeatures(r, lo, hi, s.ds.HasFeatures())
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
 	}
 	s.met.shardCalls.Add(1)
 	feats, err := s.local.Features(r.Context(), req.Nodes)

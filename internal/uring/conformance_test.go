@@ -2,6 +2,7 @@ package uring
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"syscall"
 	"testing"
@@ -292,5 +293,74 @@ func TestRingConformanceIdlePrep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRingRefillAfterDrain: a ring with nothing staged or in flight
+// must accept a whole SQ of reads at once, round after round. Each
+// round fills every entry with a page-sized read, drains all the
+// completions, and refills at once — the pattern of a worker whose
+// group exactly fills its ring. Entries 1 is the smallest ring.
+func TestRingRefillAfterDrain(t *testing.T) {
+	const pages = 64
+	f := testFile(t, pages*1024)
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []Backend{BackendSim, BackendPool}
+	if Probe().Ring {
+		backends = append(backends, BackendIOURing)
+	}
+	for _, be := range backends {
+		for _, entries := range []int{1, 8, 32} {
+			t.Run(fmt.Sprintf("%s/entries=%d", be, entries), func(t *testing.T) {
+				r, err := New(be, f, entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				n := r.Entries()
+				if n < entries {
+					t.Fatalf("Entries() = %d, asked for %d", n, entries)
+				}
+				bufs := make([][]byte, n)
+				for i := range bufs {
+					bufs[i] = make([]byte, 4096)
+				}
+				page := func(round, i int) int { return (round*7 + i*13) % pages }
+				for round := 0; round < 200; round++ {
+					for i := 0; i < n; i++ {
+						if !r.PrepRead(uint64(i), int64(4096*page(round, i)), bufs[i]) {
+							t.Fatalf("round %d: read %d of %d refused with nothing in flight", round, i, n)
+						}
+					}
+					if _, err := r.Submit(); err != nil {
+						t.Fatal(err)
+					}
+					seen := make([]bool, n)
+					for got := 0; got < n; {
+						cqes, err := r.Wait(1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, c := range cqes {
+							if c.Res != 4096 {
+								t.Fatalf("round %d: CQE %+v, want Res 4096", round, c)
+							}
+							if c.ID >= uint64(n) || seen[c.ID] {
+								t.Fatalf("round %d: unexpected or repeated completion %+v", round, c)
+							}
+							seen[c.ID] = true
+							p := page(round, int(c.ID))
+							if !bytes.Equal(bufs[c.ID], raw[4096*p:4096*(p+1)]) {
+								t.Fatalf("round %d: read %d returned the wrong page", round, c.ID)
+							}
+						}
+						got += len(cqes)
+					}
+				}
+			})
+		}
 	}
 }

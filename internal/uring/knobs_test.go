@@ -15,8 +15,8 @@ func TestCapsString(t *testing.T) {
 		{Caps{}, "unavailable"},
 		{Caps{Ring: true}, "ring"},
 		{Caps{Ring: true, ReadFixed: true}, "ring+read_fixed"},
-		{Caps{Ring: true, ReadFixed: true, RegisteredFiles: true, SQPoll: true},
-			"ring+read_fixed+reg_files+sqpoll"},
+		{Caps{Ring: true, ReadFixed: true, RegisteredFiles: true},
+			"ring+read_fixed+reg_files"},
 	}
 	for _, c := range cases {
 		if got := c.caps.String(); got != c.want {
@@ -29,7 +29,7 @@ func TestCapsString(t *testing.T) {
 // a probe can never report read_fixed without a working ring under it.
 func TestProbeCapsConsistent(t *testing.T) {
 	caps := Probe()
-	if (caps.ReadFixed || caps.RegisteredFiles || caps.SQPoll) && !caps.Ring {
+	if (caps.ReadFixed || caps.RegisteredFiles) && !caps.Ring {
 		t.Fatalf("Probe() = %s: sub-feature granted without base ring", caps)
 	}
 	t.Logf("caps: %s", caps)
@@ -169,9 +169,9 @@ func TestFixedReadReal(t *testing.T) {
 	}
 }
 
-// TestRegisteredFilesAndSQPollReal: reads through IOSQE_FIXED_FILE and
-// through an SQPOLL ring must return the same bytes as the plain path.
-func TestRegisteredFilesAndSQPollReal(t *testing.T) {
+// TestRegisteredFilesReal: reads through IOSQE_FIXED_FILE, alone and
+// with registered buffers, must return the same bytes as the plain path.
+func TestRegisteredFilesReal(t *testing.T) {
 	caps := Probe()
 	run := func(t *testing.T, o Options) {
 		f := testFile(t, 64)
@@ -199,18 +199,12 @@ func TestRegisteredFilesAndSQPollReal(t *testing.T) {
 		}
 		run(t, Options{Entries: 8, RegisterFile: true})
 	})
-	t.Run("sqpoll", func(t *testing.T) {
-		if !caps.SQPoll {
-			t.Skip("SQPOLL not grantable in this environment")
-		}
-		run(t, Options{Entries: 8, SQPoll: true, SQPollIdleMS: 10})
-	})
 	t.Run("all", func(t *testing.T) {
-		if !caps.ReadFixed || !caps.RegisteredFiles || !caps.SQPoll {
+		if !caps.ReadFixed || !caps.RegisteredFiles {
 			t.Skip("full knob set not grantable in this environment")
 		}
 		arena := make([]byte, 4096)
-		run(t, Options{Entries: 8, FixedBuffers: [][]byte{arena}, RegisterFile: true, SQPoll: true, SQPollIdleMS: 10})
+		run(t, Options{Entries: 8, FixedBuffers: [][]byte{arena}, RegisterFile: true})
 	})
 }
 
@@ -231,13 +225,13 @@ func TestNewWithFailsFastOnUngrantedKnob(t *testing.T) {
 			t.Fatal("fixed buffers constructed despite probe refusal")
 		}
 	}
-	if !caps.SQPoll {
-		if r, err := NewWith(BackendIOURing, f, Options{Entries: 8, SQPoll: true}); err == nil {
+	if !caps.RegisteredFiles {
+		if r, err := NewWith(BackendIOURing, f, Options{Entries: 8, RegisterFile: true}); err == nil {
 			r.Close()
-			t.Fatal("SQPOLL ring constructed despite probe refusal")
+			t.Fatal("registered file constructed despite probe refusal")
 		}
 	}
-	if caps.ReadFixed && caps.SQPoll {
+	if caps.ReadFixed && caps.RegisteredFiles {
 		t.Skip("every knob grantable here; refusal path not reachable")
 	}
 }
@@ -336,54 +330,5 @@ func TestFaultBadBufIndex(t *testing.T) {
 	}
 	if c := drainOne(t, r); c.Res != 8 {
 		t.Fatalf("plain read CQE %+v, want Res 8", c)
-	}
-}
-
-// TestSQPollRefillAfterDrain: under SQPOLL the kernel thread can post a
-// batch's completions before it commits the SQ head, so a consumer that
-// has harvested every completion may still see a full SQ. A ring that
-// is idle (nothing staged or in flight) must never refuse a read: it
-// waits for the head instead. Each round fills the whole SQ with
-// page-sized reads, drains it, and refills it at once — the window in
-// which the head lags; a 1 ms idle timeout adds thread wake-ups.
-func TestSQPollRefillAfterDrain(t *testing.T) {
-	if !Probe().SQPoll {
-		t.Skip("SQPOLL not grantable in this environment")
-	}
-	const pages = 64
-	f := testFile(t, pages*1024)
-	for _, entries := range []int{8, 32} {
-		r, err := NewWith(BackendIOURing, f, Options{Entries: entries, SQPoll: true, SQPollIdleMS: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs := make([][]byte, entries)
-		for i := range bufs {
-			bufs[i] = make([]byte, 4096)
-		}
-		for round := 0; round < 10000; round++ {
-			for i := 0; i < entries; i++ {
-				if !r.PrepRead(uint64(i), int64(4096*((round*7+i*13)%pages)), bufs[i]) {
-					r.Close()
-					t.Fatalf("entries=%d round %d: read %d refused with nothing in flight", entries, round, i)
-				}
-			}
-			if _, err := r.Submit(); err != nil {
-				t.Fatal(err)
-			}
-			for got := 0; got < entries; {
-				cqes, err := r.Wait(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range cqes {
-					if c.Res != 4096 {
-						t.Fatalf("entries=%d round %d: CQE %+v, want Res 4096", entries, round, c)
-					}
-				}
-				got += len(cqes)
-			}
-		}
-		r.Close()
 	}
 }

@@ -15,11 +15,10 @@ import (
 // io_uring_register syscalls and mmap'd SQ/CQ rings, written directly
 // against the kernel ABI (no cgo, no liburing). Two read opcodes are
 // wired up — IORING_OP_READ for the plain path and IORING_OP_READ_FIXED
-// for reads into registered arenas — plus the three setup-time fast-path
+// for reads into registered arenas — plus the two setup-time fast-path
 // knobs the paper's hot loop wants: IORING_REGISTER_BUFFERS (skip
-// per-read page pinning), IORING_REGISTER_FILES + IOSQE_FIXED_FILE
-// (skip per-SQE fd lookup), and IORING_SETUP_SQPOLL (kernel-side SQ
-// consumption; steady-state submission is a shared-memory store).
+// per-read page pinning) and IORING_REGISTER_FILES + IOSQE_FIXED_FILE
+// (skip per-SQE fd lookup).
 
 const (
 	sysIOURingSetup    = 425
@@ -30,13 +29,7 @@ const (
 	offCQRing = 0x8000000
 	offSQEs   = 0x10000000
 
-	setupSQPoll = 1 << 1 // IORING_SETUP_SQPOLL
-
-	sqNeedWakeup = 1 << 0 // IORING_SQ_NEED_WAKEUP, in the SQ ring flags word
-
 	enterGetEvents = 1 << 0 // IORING_ENTER_GETEVENTS
-	enterSQWakeup  = 1 << 1 // IORING_ENTER_SQ_WAKEUP
-	enterSQWait    = 1 << 2 // IORING_ENTER_SQ_WAIT, kernel 5.10+
 
 	registerBuffers = 0 // IORING_REGISTER_BUFFERS
 	registerFiles   = 2 // IORING_REGISTER_FILES
@@ -48,11 +41,6 @@ const (
 
 	sqeSize = 64
 	cqeSize = 16
-
-	// defaultSQPollIdleMS is the SQPOLL thread spin-down timeout when
-	// Options leaves it zero: long enough to span a batch's submit
-	// cadence, short enough not to burn a core across idle epochs.
-	defaultSQPollIdleMS = 100
 )
 
 // Kernel ABI structs. Sizes are load-bearing: io_uring_setup writes
@@ -101,7 +89,6 @@ type iouRing struct {
 
 	sqHead    *uint32
 	sqTail    *uint32
-	sqFlags   *uint32
 	sqMask    uint32
 	sqEntries uint32
 	sqArray   []uint32
@@ -116,7 +103,6 @@ type iouRing struct {
 	staged    uint32
 	inflight  uint32
 
-	sqpoll    bool
 	fixedFile bool // file registered at fixed-file index 0
 
 	// fixed pins the registered arenas for the ring's lifetime: the
@@ -166,18 +152,11 @@ func register(fd int, opcode uint32, arg unsafe.Pointer, nrArgs uint32) error {
 // RegisterFile is false (the capability probe).
 func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	var p uringParams
-	if o.SQPoll {
-		p.flags |= setupSQPoll
-		p.sqThreadIdle = o.SQPollIdleMS
-		if p.sqThreadIdle == 0 {
-			p.sqThreadIdle = defaultSQPollIdleMS
-		}
-	}
 	fd, err := setupRing(uint32(o.Entries), &p)
 	if err != nil {
 		return nil, err
 	}
-	r := &iouRing{fd: fd, sqpoll: o.SQPoll, bufs: make(map[uint64][]byte)}
+	r := &iouRing{fd: fd, bufs: make(map[uint64][]byte)}
 	fail := func(err error) (*iouRing, error) {
 		r.Close()
 		return nil, err
@@ -204,7 +183,6 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	sq := unsafe.Pointer(&r.sqRing[0])
 	r.sqHead = (*uint32)(unsafe.Add(sq, p.sqOff.head))
 	r.sqTail = (*uint32)(unsafe.Add(sq, p.sqOff.tail))
-	r.sqFlags = (*uint32)(unsafe.Add(sq, p.sqOff.flags))
 	r.sqMask = *(*uint32)(unsafe.Add(sq, p.sqOff.ringMask))
 	r.sqEntries = p.sqEntries
 	r.sqArray = unsafe.Slice((*uint32)(unsafe.Add(sq, p.sqOff.array)), p.sqEntries)
@@ -258,9 +236,6 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 	if o.RegisterFile && !caps.RegisteredFiles {
 		return nil, fmt.Errorf("uring: registered files requested but IORING_REGISTER_FILES unavailable (caps %s)", caps)
 	}
-	if o.SQPoll && !caps.SQPoll {
-		return nil, fmt.Errorf("uring: SQPOLL requested but IORING_SETUP_SQPOLL unavailable (caps %s)", caps)
-	}
 	r, err := newRawRing(f, o)
 	if err != nil {
 		return nil, err
@@ -270,9 +245,9 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 }
 
 // probe verifies the real path feature by feature: base setup + all
-// three mmaps, buffer registration, file registration (against a pipe
-// fd, so no filesystem contact), and an SQPOLL ring. Each failure just
-// clears that capability — callers downgrade, never error.
+// three mmaps, buffer registration, and file registration (against a
+// pipe fd, so no filesystem contact). Each failure just clears that
+// capability — callers downgrade, never error.
 func probe() Caps {
 	var c Caps
 	r, err := newRawRing(nil, Options{Entries: 8})
@@ -300,28 +275,14 @@ func probe() Caps {
 		syscall.Close(pipeFDs[1])
 	}
 	r.Close()
-
-	if rs, err := newRawRing(nil, Options{Entries: 8, SQPoll: true, SQPollIdleMS: 1}); err == nil {
-		c.SQPoll = true
-		rs.Close()
-	}
 	return c
 }
 
 // prep stages one SQE. bufIndex is only meaningful for opReadFixed.
 func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex uint16) bool {
-	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries {
+	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries ||
+		r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
 		return false
-	}
-	if r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
-		// Under SQPOLL the kernel thread posts the completions of reads
-		// served inline (page-cache hits) before it commits the SQ head,
-		// so a ring whose every completion was harvested can still look
-		// full. Refusing then would break the never-refuse-while-idle
-		// contract; wait for the head instead.
-		if !r.sqpoll || r.staged > 0 || r.inflight > 0 || !r.waitSQ() {
-			return false
-		}
 	}
 	idx := r.localTail & r.sqMask
 	sqe := unsafe.Pointer(&r.sqes[idx*sqeSize])
@@ -346,23 +307,6 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	return true
 }
 
-// waitSQ blocks until the SQPOLL thread has consumed every published
-// SQE (IORING_ENTER_SQ_WAIT), waking the thread first if it idled out.
-// False when the kernel refuses the wait (before 5.10).
-func (r *iouRing) waitSQ() bool {
-	for r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
-		flags := uint32(enterSQWait)
-		if atomic.LoadUint32(r.sqFlags)&sqNeedWakeup != 0 {
-			flags |= enterSQWakeup
-		}
-		r.sys.Submits++
-		if _, err := enter(r.fd, 0, 0, flags); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
 func (r *iouRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	return r.prep(id, off, buf, opRead, 0)
 }
@@ -375,20 +319,6 @@ func (r *iouRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) 
 
 func (r *iouRing) Submit() (int, error) {
 	atomic.StoreUint32(r.sqTail, r.localTail)
-	if r.sqpoll {
-		// The SQPOLL kernel thread consumes the ring; publishing the new
-		// tail is the submission. Only an idled-out thread needs an enter.
-		n := int(r.staged)
-		r.inflight += r.staged
-		r.staged = 0
-		if atomic.LoadUint32(r.sqFlags)&sqNeedWakeup != 0 {
-			r.sys.Submits++
-			if _, err := enter(r.fd, 0, 0, enterSQWakeup); err != nil {
-				return n, err
-			}
-		}
-		return n, nil
-	}
 	total := 0
 	for r.staged > 0 {
 		r.sys.Submits++

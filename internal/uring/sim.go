@@ -9,7 +9,7 @@ import "os"
 // bit-reproducibility tests. Fixed buffers are emulated like the pool
 // backend (validate index and bounds, then read normally; invalid
 // references complete with -EINVAL/-EFAULT at Submit); RegisterFile
-// and SQPoll are accepted and ignored.
+// is accepted and ignored.
 type simRing struct {
 	f       *os.File
 	entries int

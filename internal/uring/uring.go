@@ -5,8 +5,7 @@
 //     io_uring_setup/io_uring_enter/io_uring_register syscalls + mmap'd
 //     SQ/CQ rings, no cgo, no liburing). The paper's real I/O path,
 //     with optional fast-path knobs: registered fixed buffers
-//     (IORING_OP_READ_FIXED), registered files (IOSQE_FIXED_FILE), and
-//     SQPOLL submission.
+//     (IORING_OP_READ_FIXED) and registered files (IOSQE_FIXED_FILE).
 //   - BackendPool: a portable pread worker pool with the same batched
 //     SQ/CQ semantics. Always available; this is what keeps the engine
 //     running on non-Linux platforms and inside seccomp sandboxes.
@@ -109,9 +108,9 @@ type Ring interface {
 }
 
 // Syscalls counts a ring's kernel crossings: Submits is submission-side
-// syscalls (io_uring_enter with work to publish — or SQPOLL wakeups,
-// which drop to zero in steady state; one pread(2) per request for the
-// pool and sim backends, their true submission cost), Waits is blocking
+// syscalls (io_uring_enter with work to publish; one pread(2) per
+// request for the pool and sim backends, their true submission cost),
+// Waits is blocking
 // completion-side syscalls (io_uring_enter GETEVENTS; zero for pool/sim,
 // which complete in user space). The benchmark harness divides these by
 // batch count to report syscalls-per-batch honestly per knob combo.
@@ -140,14 +139,10 @@ type Caps struct {
 	// RegisteredFiles: IORING_REGISTER_FILES succeeds, so SQEs can carry
 	// IOSQE_FIXED_FILE and skip the per-SQE fd lookup.
 	RegisteredFiles bool
-	// SQPoll: IORING_SETUP_SQPOLL rings can be created (kernel 5.11+
-	// unprivileged, or CAP_SYS_NICE), so steady-state submission costs
-	// zero syscalls.
-	SQPoll bool
 }
 
 // String renders the capability set compactly, e.g.
-// "ring+read_fixed+reg_files+sqpoll" or "unavailable".
+// "ring+read_fixed+reg_files" or "unavailable".
 func (c Caps) String() string {
 	if !c.Ring {
 		return "unavailable"
@@ -158,9 +153,6 @@ func (c Caps) String() string {
 	}
 	if c.RegisteredFiles {
 		parts = append(parts, "reg_files")
-	}
-	if c.SQPoll {
-		parts = append(parts, "sqpoll")
 	}
 	return strings.Join(parts, "+")
 }
@@ -182,15 +174,6 @@ type Options struct {
 	// index instead of the raw fd. Accepted and ignored by pool/sim,
 	// which hold the *os.File directly.
 	RegisterFile bool
-	// SQPoll requests IORING_SETUP_SQPOLL: a kernel thread consumes the
-	// SQ, so steady-state Submit is a shared-memory store with no
-	// syscall (a wakeup enter only after the thread idles out).
-	// Accepted and ignored by pool/sim.
-	SQPoll bool
-	// SQPollIdleMS is the SQPOLL kernel thread's spin-down timeout in
-	// milliseconds (0 selects 100). Longer keeps submission free across
-	// bursts at the cost of a busy kernel thread.
-	SQPollIdleMS uint32
 }
 
 // DefaultEntries is the paper's default ring size.
@@ -233,7 +216,7 @@ var (
 // Probe reports the real io_uring backend's per-feature capability set
 // in this environment: whether the base binding works (syscalls exist,
 // the sandbox permits them, the ring mmaps succeed) and which fast-path
-// knobs (fixed buffers, registered files, SQPOLL) the kernel grants.
+// knobs (fixed buffers, registered files) the kernel grants.
 // It never panics and caches its result — sandboxes and older kernels
 // simply report fewer capabilities, and the engine downgrades to the
 // plain path (or BackendPool when even Caps.Ring is false).

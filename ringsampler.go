@@ -94,7 +94,7 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 }
 
 // Probe reports the per-feature io_uring capability set of this
-// environment (base ring, fixed buffers, registered files, SQPOLL).
+// environment (base ring, fixed buffers, registered files).
 func Probe() uring.Caps { return uring.Probe() }
 
 // NewSampler binds the engine to ds using the best ring backend

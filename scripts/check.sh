@@ -52,7 +52,7 @@ fi
 
 # io_uring knob-ablation sweep: entries/s, syscalls-per-batch, and
 # device bytes per fast-path knob combination (fixed buffers, registered
-# files, SQPOLL, O_DIRECT, bounded depth), with byte identity enforced
+# files, O_DIRECT), with byte identity enforced
 # across every combination. Written as benchdata/BENCH_uring.json so
 # runs are diffable across commits; QUICK=1 keeps only the plain+fixed
 # smoke pair.
